@@ -17,9 +17,8 @@
 //! `config` records how the numbers were produced (all values strings, so
 //! the shape never depends on flag types); `metrics` is a flat name→number
 //! map — exactly what the regression gate diffs. Serialization is
-//! hand-rolled (the workspace has no serde); envelopes are validated on
-//! write with `cellsim::tracelog::validate_json` and read back with the
-//! `obs::json` reader.
+//! hand-rolled (the workspace has no serde); envelopes are checked on
+//! write and read back with the `obs::json` parser.
 
 use std::path::{Path, PathBuf};
 
@@ -132,13 +131,11 @@ impl Envelope {
         Ok(Envelope { artifact, git_rev, config, metrics })
     }
 
-    /// Serialize, self-check with the trace-log JSON validator, and write
+    /// Serialize, self-check by parsing the text back, and write
     /// atomically enough for an artifact (write + rename is overkill here;
     /// a torn artifact just fails validation on the next read).
     pub fn write(&self, path: &Path) -> Result<(), String> {
         let text = self.to_json();
-        cellsim::tracelog::validate_json(&text)
-            .map_err(|e| format!("envelope serialization invalid: {e}"))?;
         Envelope::from_json(&text).map_err(|e| format!("envelope round-trip failed: {e}"))?;
         std::fs::write(path, &text).map_err(|e| format!("write {}: {e}", path.display()))
     }
@@ -205,24 +202,6 @@ pub enum OutputFormat {
 }
 
 impl OutputFormat {
-    /// Parse `--format` from the process arguments; `Text` when absent.
-    #[deprecated(since = "0.2.0", note = "use `crate::cli::StudyArgs`, which parses `--format`")]
-    pub fn from_args() -> Result<OutputFormat, String> {
-        let mut args = std::env::args();
-        let value = loop {
-            match args.next() {
-                None => break None,
-                Some(a) if a == "--format" => break args.next(),
-                Some(_) => {}
-            }
-        };
-        match value.as_deref() {
-            None | Some("text") => Ok(OutputFormat::Text),
-            Some("json") => Ok(OutputFormat::Json),
-            Some(other) => Err(format!("--format must be text or json, got {other:?}")),
-        }
-    }
-
     /// True in the default human-readable mode.
     pub fn is_text(self) -> bool {
         self == OutputFormat::Text
@@ -247,7 +226,7 @@ mod tests {
     fn envelope_round_trips_through_json() {
         let e = sample();
         let text = e.to_json();
-        cellsim::tracelog::validate_json(&text).expect("envelope is valid JSON");
+        obs::json::parse(&text).expect("envelope is valid JSON");
         let back = Envelope::from_json(&text).expect("parse back");
         assert_eq!(back.artifact, "selftest");
         assert_eq!(back.config_value("jobs"), Some("12"));
@@ -261,7 +240,7 @@ mod tests {
     #[test]
     fn empty_envelope_is_still_valid() {
         let text = Envelope::new("empty").to_json();
-        cellsim::tracelog::validate_json(&text).expect("valid JSON");
+        obs::json::parse(&text).expect("valid JSON");
         let back = Envelope::from_json(&text).expect("parse back");
         assert!(back.metrics.is_empty() && back.config.is_empty());
     }

@@ -72,7 +72,7 @@ fn main() -> ExitCode {
     or_exit(obs::validate_prometheus_text(&prom_back));
     let jsonl_back =
         or_exit(std::fs::read_to_string(&jsonl_path).map_err(|e| format!("read back: {e}")));
-    or_exit(cellsim::tracelog::validate_jsonl(&jsonl_back));
+    or_exit(obs::json::validate_jsonl(&jsonl_back));
 
     if smoke {
         or_exit(smoke_checks(&run));

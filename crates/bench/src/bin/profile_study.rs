@@ -168,10 +168,10 @@ fn smoke() -> Result<(), String> {
     for path in &paths {
         let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
         if path.ends_with(".jsonl") {
-            cellsim::tracelog::validate_jsonl(&text)
+            obs::json::validate_jsonl(&text)
                 .map_err(|e| format!("{path} failed JSONL validation after round trip: {e}"))?;
         } else {
-            cellsim::tracelog::validate_json(&text)
+            obs::json::parse(&text)
                 .map_err(|e| format!("{path} failed JSON validation after round trip: {e}"))?;
         }
     }

@@ -27,7 +27,8 @@
 //!   --no-artifact  skip writing BENCH_throughput.json
 
 use bench::artifact::{bench_artifact_path, Envelope, OutputFormat};
-use cellsim::tracelog::{validate_jsonl, TraceLog};
+use cellsim::tracelog::TraceLog;
+use obs::json::validate_jsonl;
 use phylo::alignment::PatternAlignment;
 use phylo::farm::{run_farm, FarmConfig, FarmError, FarmFaultPlan, FarmStats};
 use phylo::prelude::*;

@@ -1,8 +1,7 @@
 //! Typed command-line handling shared by every study binary.
 //!
-//! Each study used to scan `std::env::args()` ad hoc (via the now
-//! deprecated [`crate::arg_value`]); this module centralizes the common
-//! surface once, with validation:
+//! This module parses the command-line surface the studies share, once,
+//! with validation:
 //!
 //! * the shared boolean flags `--smoke`, `--quick`, `--no-artifact`;
 //! * `--format text|json` (rejecting anything else up front);

@@ -30,19 +30,6 @@ pub fn or_exit<T, E: std::fmt::Display>(result: Result<T, E>) -> T {
     }
 }
 
-/// Value following a `--flag value` pair on the process command line
-/// (shared by every study binary).
-#[deprecated(since = "0.2.0", note = "use `cli::StudyArgs`, which validates the shared flags")]
-pub fn arg_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-    }
-    None
-}
-
 /// Capture the `42_SC`-equivalent workload (a full traced inference on the
 /// 42 × 1167 synthetic alignment). This is the expensive step — call once
 /// and reuse.
@@ -296,9 +283,9 @@ pub fn check_profile(p: &RoundProfile) -> Result<(), String> {
             ));
         }
     }
-    cellsim::tracelog::validate_json(&p.chrome_json)
+    obs::json::parse(&p.chrome_json)
         .map_err(|e| format!("{}: chrome trace invalid: {e}", p.label))?;
-    cellsim::tracelog::validate_jsonl(&p.metrics_jsonl)
+    obs::json::validate_jsonl(&p.metrics_jsonl)
         .map_err(|e| format!("{}: metrics jsonl invalid: {e}", p.label))?;
     Ok(())
 }

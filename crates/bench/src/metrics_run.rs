@@ -172,7 +172,7 @@ fn collect_inner(cfg: &MetricsRunConfig, registry: &obs::Registry) -> Result<Met
     obs::validate_prometheus_text(&prometheus)
         .map_err(|e| format!("prometheus export invalid: {e}"))?;
     let jsonl = registry.to_jsonl();
-    cellsim::tracelog::validate_jsonl(&jsonl).map_err(|e| format!("jsonl export invalid: {e}"))?;
+    obs::json::validate_jsonl(&jsonl).map_err(|e| format!("jsonl export invalid: {e}"))?;
 
     // 5. The flat envelope.
     let mut envelope = Envelope::new("metrics")

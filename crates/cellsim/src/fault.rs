@@ -9,12 +9,13 @@
 //!
 //! Everything is **counter-based and seed-driven**: a fault decision is a
 //! pure function of `(seed, stream, index, attempt, site)`, hashed through
-//! splitmix64. No RNG state is carried between draws, so any component can
-//! ask "does this offload fault?" in any order and two simulations with the
-//! same plan replay the exact same fault history — the property the
-//! determinism tests in `tests/robustness.rs` lock down.
+//! [`obs::trace::splitmix64`]. No RNG state is carried between draws, so
+//! any component can ask "does this offload fault?" in any order and two
+//! simulations with the same plan replay the exact same fault history — the
+//! property the determinism tests in `tests/robustness.rs` lock down.
 
 use crate::time::Cycles;
+use obs::trace::splitmix64;
 
 /// The kinds of fault the plan can inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -332,14 +333,6 @@ impl FaultReport {
     }
 }
 
-/// The splitmix64 finalizer: a fast, well-mixed 64-bit hash.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,6 +360,22 @@ mod tests {
         };
         assert_eq!(hist(&a), hist(&b), "same seed must replay identically");
         assert_ne!(hist(&a), hist(&c), "different seed must diverge");
+    }
+
+    /// One literal pins the whole decision stream, so a change to the
+    /// mixer cannot silently move every recorded fault schedule.
+    #[test]
+    fn decision_stream_fingerprint_is_pinned() {
+        let plan = FaultPlan::uniform(42, 0.3);
+        let mut acc: u64 = 0xcbf2_9ce4_8422_2325;
+        for i in 0..256 {
+            let r = plan.offload_recovery(i % 8, i);
+            let kind = r.first_fault.map_or(0, |k| k as u64 + 1);
+            for v in [r.injected.into(), r.retries.into(), r.extra_cycles, r.gave_up.into(), kind] {
+                acc = (acc ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(acc, 0x18f8_e2ee_1d76_2fa2);
     }
 
     #[test]

@@ -514,171 +514,6 @@ impl TraceSummary {
     }
 }
 
-/// Validate that `text` is one well-formed JSON value (with optional
-/// trailing whitespace). A minimal recursive-descent checker — the build
-/// environment has no JSON dependency, and the exporters above hand-roll
-/// their output, so CI uses this to prove the artifacts actually parse.
-pub fn validate_json(text: &str) -> Result<(), String> {
-    let bytes = text.as_bytes();
-    let mut pos = skip_ws(bytes, 0);
-    pos = parse_value(bytes, pos, 0)?;
-    pos = skip_ws(bytes, pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
-    }
-    Ok(())
-}
-
-/// Validate line-delimited JSON: every non-empty line is one JSON value.
-pub fn validate_jsonl(text: &str) -> Result<(), String> {
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        validate_json(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-    }
-    Ok(())
-}
-
-const MAX_DEPTH: usize = 64;
-
-fn skip_ws(b: &[u8], mut pos: usize) -> usize {
-    while pos < b.len() && matches!(b[pos], b' ' | b'\t' | b'\n' | b'\r') {
-        pos += 1;
-    }
-    pos
-}
-
-fn parse_value(b: &[u8], pos: usize, depth: usize) -> Result<usize, String> {
-    if depth > MAX_DEPTH {
-        return Err("nesting too deep".to_string());
-    }
-    match b.get(pos) {
-        None => Err(format!("unexpected end of input at byte {pos}")),
-        Some(b'{') => parse_object(b, pos, depth),
-        Some(b'[') => parse_array(b, pos, depth),
-        Some(b'"') => parse_string(b, pos),
-        Some(b't') => parse_lit(b, pos, b"true"),
-        Some(b'f') => parse_lit(b, pos, b"false"),
-        Some(b'n') => parse_lit(b, pos, b"null"),
-        Some(c) if *c == b'-' || c.is_ascii_digit() => parse_number(b, pos),
-        Some(c) => Err(format!("unexpected byte {:?} at {pos}", *c as char)),
-    }
-}
-
-fn parse_lit(b: &[u8], pos: usize, lit: &[u8]) -> Result<usize, String> {
-    if b.len() >= pos + lit.len() && &b[pos..pos + lit.len()] == lit {
-        Ok(pos + lit.len())
-    } else {
-        Err(format!("bad literal at byte {pos}"))
-    }
-}
-
-fn parse_string(b: &[u8], mut pos: usize) -> Result<usize, String> {
-    pos += 1; // opening quote
-    while pos < b.len() {
-        match b[pos] {
-            b'"' => return Ok(pos + 1),
-            b'\\' => {
-                match b.get(pos + 1) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => pos += 2,
-                    Some(b'u') => {
-                        if b.len() < pos + 6
-                            || !b[pos + 2..pos + 6].iter().all(u8::is_ascii_hexdigit)
-                        {
-                            return Err(format!("bad \\u escape at byte {pos}"));
-                        }
-                        pos += 6;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}")),
-                };
-            }
-            0x00..=0x1f => return Err(format!("raw control character in string at byte {pos}")),
-            _ => pos += 1,
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-fn parse_number(b: &[u8], mut pos: usize) -> Result<usize, String> {
-    let start = pos;
-    if b.get(pos) == Some(&b'-') {
-        pos += 1;
-    }
-    let int_start = pos;
-    while pos < b.len() && b[pos].is_ascii_digit() {
-        pos += 1;
-    }
-    if pos == int_start {
-        return Err(format!("bad number at byte {start}"));
-    }
-    if b.get(pos) == Some(&b'.') {
-        pos += 1;
-        let frac_start = pos;
-        while pos < b.len() && b[pos].is_ascii_digit() {
-            pos += 1;
-        }
-        if pos == frac_start {
-            return Err(format!("bad number at byte {start}"));
-        }
-    }
-    if matches!(b.get(pos), Some(b'e' | b'E')) {
-        pos += 1;
-        if matches!(b.get(pos), Some(b'+' | b'-')) {
-            pos += 1;
-        }
-        let exp_start = pos;
-        while pos < b.len() && b[pos].is_ascii_digit() {
-            pos += 1;
-        }
-        if pos == exp_start {
-            return Err(format!("bad number at byte {start}"));
-        }
-    }
-    Ok(pos)
-}
-
-fn parse_object(b: &[u8], mut pos: usize, depth: usize) -> Result<usize, String> {
-    pos = skip_ws(b, pos + 1);
-    if b.get(pos) == Some(&b'}') {
-        return Ok(pos + 1);
-    }
-    loop {
-        if b.get(pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {pos}"));
-        }
-        pos = parse_string(b, pos)?;
-        pos = skip_ws(b, pos);
-        if b.get(pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}"));
-        }
-        pos = skip_ws(b, pos + 1);
-        pos = parse_value(b, pos, depth + 1)?;
-        pos = skip_ws(b, pos);
-        match b.get(pos) {
-            Some(b',') => pos = skip_ws(b, pos + 1),
-            Some(b'}') => return Ok(pos + 1),
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-        }
-    }
-}
-
-fn parse_array(b: &[u8], mut pos: usize, depth: usize) -> Result<usize, String> {
-    pos = skip_ws(b, pos + 1);
-    if b.get(pos) == Some(&b']') {
-        return Ok(pos + 1);
-    }
-    loop {
-        pos = parse_value(b, pos, depth + 1)?;
-        pos = skip_ws(b, pos);
-        match b.get(pos) {
-            Some(b',') => pos = skip_ws(b, pos + 1),
-            Some(b']') => return Ok(pos + 1),
-            _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -769,7 +604,7 @@ mod tests {
     #[test]
     fn chrome_trace_is_valid_json_with_expected_shape() {
         let text = sample_log().to_chrome_trace(3.2e9);
-        validate_json(&text).expect("chrome trace must parse");
+        obs::json::parse(&text).expect("chrome trace must parse");
         assert!(text.contains("\"traceEvents\""));
         assert!(text.contains("\"ph\":\"X\""));
         assert!(text.contains("\"ph\":\"i\""));
@@ -783,7 +618,7 @@ mod tests {
     #[test]
     fn metrics_jsonl_is_valid_and_complete() {
         let text = sample_log().to_metrics_jsonl(3.2e9, 8);
-        validate_jsonl(&text).expect("jsonl must parse");
+        obs::json::validate_jsonl(&text).expect("jsonl must parse");
         // 8 SPE lines + 1 PPE + 1 counter + 1 totals.
         assert_eq!(text.lines().count(), 11);
         assert!(text.contains("\"metric\":\"totals\""));
@@ -793,42 +628,8 @@ mod tests {
     #[test]
     fn empty_log_exports_cleanly() {
         let log = TraceLog::enabled();
-        validate_json(&log.to_chrome_trace(3.2e9)).unwrap();
-        validate_jsonl(&log.to_metrics_jsonl(3.2e9, 8)).unwrap();
-    }
-
-    #[test]
-    fn json_validator_accepts_and_rejects() {
-        for good in [
-            "{}",
-            "[]",
-            "null",
-            "true",
-            "-12.5e-3",
-            "\"a\\u00e9\\n\"",
-            "{\"a\":[1,2,{\"b\":null}],\"c\":\"x\"}",
-            "  [1, 2, 3]  ",
-        ] {
-            assert!(validate_json(good).is_ok(), "{good}");
-        }
-        for bad in [
-            "",
-            "{",
-            "[1,]",
-            "{\"a\":}",
-            "{\"a\" 1}",
-            "nul",
-            "1.2.3",
-            "\"unterminated",
-            "{} extra",
-            "01a",
-            "[1 2]",
-            "{'a':1}",
-        ] {
-            assert!(validate_json(bad).is_err(), "{bad}");
-        }
-        assert!(validate_jsonl("{\"a\":1}\n{\"b\":2}\n").is_ok());
-        assert!(validate_jsonl("{\"a\":1}\noops\n").is_err());
+        obs::json::parse(&log.to_chrome_trace(3.2e9)).unwrap();
+        obs::json::validate_jsonl(&log.to_metrics_jsonl(3.2e9, 8)).unwrap();
     }
 
     #[test]
@@ -840,7 +641,7 @@ mod tests {
         let s = log.summary(1);
         assert_eq!(s.faults, 1);
         let text = log.to_chrome_trace(3.2e9);
-        validate_json(&text).unwrap();
+        obs::json::parse(&text).unwrap();
         assert!(text.contains("job-failure"));
         // Disabled logs stay inert.
         let mut off = TraceLog::disabled();

@@ -100,7 +100,7 @@ impl FarmObserver for FarmTracer<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cellsim::tracelog::{validate_json, validate_jsonl, EventData};
+    use cellsim::tracelog::EventData;
     use phylo::farm::{run_farm, FarmConfig, FarmFaultPlan};
 
     #[test]
@@ -135,8 +135,8 @@ mod tests {
         assert!(log.last_counter("farm_jobs_per_sec").unwrap() > 0.0);
 
         // Both exporters must produce parseable artifacts.
-        validate_json(&log.to_chrome_trace(1e9)).unwrap();
-        validate_jsonl(&log.to_metrics_jsonl(1e9, 0)).unwrap();
+        obs::json::parse(&log.to_chrome_trace(1e9)).unwrap();
+        obs::json::validate_jsonl(&log.to_metrics_jsonl(1e9, 0)).unwrap();
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! A minimal JSON value parser for the benchmark artifacts.
+//! A minimal JSON value parser: the workspace's one JSON grammar.
 //!
-//! The build environment has no serde; `cellsim::tracelog` hand-rolls a
-//! *validator* for the exporters, and this module is the complementary
-//! *reader* the regression gate needs to load two `BENCH_*.json` envelopes
-//! and compare their metric maps. Same recursive-descent grammar, but it
-//! builds a [`Json`] tree instead of only checking well-formedness.
+//! The build environment has no serde. The hand-rolled exporters (Chrome
+//! traces, metrics JSONL, `BENCH_*.json` envelopes) prove their output
+//! parses with [`parse`] and [`validate_jsonl`]; the regression gate, the
+//! wire protocol and the service logs read values back with the same
+//! recursive-descent grammar.
 
 /// A parsed JSON value. Object keys keep insertion order.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,6 +58,16 @@ pub fn parse(text: &str) -> Result<Json, String> {
         return Err(format!("trailing garbage at byte {pos}"));
     }
     Ok(value)
+}
+
+/// Check line-delimited JSON: every non-blank line is one JSON value.
+pub fn validate_jsonl(text: &str) -> Result<(), String> {
+    for (i, line) in text.lines().enumerate() {
+        if !line.trim().is_empty() {
+            parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+        }
+    }
+    Ok(())
 }
 
 const MAX_DEPTH: usize = 64;
@@ -280,6 +290,40 @@ mod tests {
     fn string_escapes_round_trip() {
         let v = parse(r#""a\n\t\"\\é b""#).unwrap();
         assert_eq!(v.as_str(), Some("a\n\t\"\\\u{e9} b"));
+    }
+
+    #[test]
+    fn accepts_and_rejects_the_exporter_table() {
+        for good in [
+            "{}",
+            "[]",
+            "null",
+            "true",
+            "-12.5e-3",
+            "\"a\\u00e9\\n\"",
+            "{\"a\":[1,2,{\"b\":null}],\"c\":\"x\"}",
+            "  [1, 2, 3]  ",
+        ] {
+            assert!(parse(good).is_ok(), "{good}");
+        }
+        for bad in [
+            "",
+            "{",
+            "[1,]",
+            "{\"a\":}",
+            "{\"a\" 1}",
+            "nul",
+            "1.2.3",
+            "\"unterminated",
+            "{} extra",
+            "01a",
+            "[1 2]",
+            "{'a':1}",
+        ] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
+        assert!(validate_jsonl("{\"a\":1}\n{\"b\":2}\n").is_ok());
+        assert!(validate_jsonl("{\"a\":1}\noops\n").is_err());
     }
 
     #[test]

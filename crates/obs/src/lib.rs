@@ -18,10 +18,13 @@
 //! * Exporters — [`Registry::to_prometheus_text`] (Prometheus text
 //!   exposition, checked by [`validate_prometheus_text`]) and
 //!   [`Registry::to_jsonl`] (line-delimited JSON snapshots in the same
-//!   spirit as `cellsim::tracelog::to_metrics_jsonl`, checked in CI by the
-//!   same hand-rolled validator).
-//! * [`json`] — the minimal JSON reader the benchmark regression gate
-//!   uses to load `BENCH_*.json` envelopes.
+//!   spirit as `cellsim::tracelog::to_metrics_jsonl`, checked in CI by
+//!   [`json::validate_jsonl`]).
+//! * [`json`] — the workspace's one JSON grammar: exporters check their
+//!   output with it and the regression gate loads `BENCH_*.json` with it.
+//! * [`applog`] — the one append-only record log (header check, torn-tail
+//!   healing, streaming replay, optional `sync_data`) behind the service
+//!   journal, the service event log and the bootstrap store.
 //!
 //! ## Overhead contract
 //!
@@ -34,6 +37,7 @@
 //! branch and nothing else, and recording never touches floating-point
 //! state — enabling metrics cannot perturb log-likelihood bit-identity.
 
+pub mod applog;
 pub mod hist;
 pub mod json;
 pub mod trace;
@@ -382,7 +386,7 @@ impl Registry {
     /// Export as line-delimited JSON: one object per metric (histograms
     /// carry their deterministic quantile estimates), plus a trailer line
     /// with the registry-wide metric count. Validated in CI by
-    /// `cellsim::tracelog::validate_jsonl`.
+    /// [`json::validate_jsonl`].
     pub fn to_jsonl(&self) -> String {
         let snapshot = self.snapshot();
         let mut out = String::new();
@@ -460,8 +464,7 @@ fn is_valid_metric_name(name: &str) -> bool {
 /// comment (`# TYPE`/`# HELP`) or a `name[{labels}] value` sample with a
 /// legal metric name and a parseable value. `# HELP` lines must name a
 /// legal metric and carry a non-empty description. The export-side
-/// analogue of `cellsim::tracelog::validate_json` — CI proves the
-/// artifact parses.
+/// analogue of [`json::parse`] — CI proves the artifact parses.
 pub fn validate_prometheus_text(text: &str) -> Result<(), String> {
     for (lineno, line) in text.lines().enumerate() {
         let n = lineno + 1;

@@ -37,9 +37,9 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// SplitMix64: the one-shot mixer used across the workspace for
-/// deterministic, stateless ID derivation (same constants as
-/// `cellsim::fault`).
+/// SplitMix64: the workspace's one stateless mixer — trace and span IDs
+/// here, counter-mode fault decisions in `cellsim::fault` and
+/// `serve::fault`.
 #[inline]
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);

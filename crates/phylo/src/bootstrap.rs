@@ -189,7 +189,7 @@ impl BootstrapAnalysis {
     /// The job at position `index` in the analysis's fixed job list. The
     /// seed derivation is per-job and independent of execution order, which
     /// is what lets a checkpointed run execute the list in chunks and still
-    /// land bit-identically on [`BootstrapAnalysis::run`]'s results.
+    /// land bit-identically on [`BootstrapAnalysis::try_run`]'s results.
     fn job_for(&self, index: usize) -> Job {
         if index < self.n_inferences {
             Job::Inference { seed: self.seed.wrapping_add(index as u64) }
@@ -300,13 +300,6 @@ impl BootstrapAnalysis {
         }
     }
 
-    /// Run the full analysis on an alignment, panicking if any job fails
-    /// (see [`BootstrapAnalysis::try_run`] for the fallible form).
-    #[deprecated(since = "0.2.0", note = "use `try_run`, which reports failures as `PhyloError`")]
-    pub fn run(&self, aln: &PatternAlignment) -> AnalysisResult {
-        self.try_run(aln).unwrap_or_else(|e| panic!("bootstrap analysis failed: {e}"))
-    }
-
     /// Run the full analysis on an alignment. A job that panics inside the
     /// farm surfaces as [`PhyloError::Farm`] naming the failed job, without
     /// discarding the other jobs' completed work inside the farm.
@@ -331,13 +324,13 @@ impl BootstrapAnalysis {
         fp.finish()
     }
 
-    /// As [`BootstrapAnalysis::run`], persisting every completed job to an
+    /// As [`BootstrapAnalysis::try_run`], persisting every completed job to an
     /// append-only store and resuming from it when one already exists.
     ///
     /// Job seeds are derived from the job index, never from execution
     /// order, so a run killed partway and resumed — even with a different
     /// `chunk_size` or worker count — produces trees and log-likelihoods
-    /// bit-identical to an uninterrupted [`BootstrapAnalysis::run`]. The
+    /// bit-identical to an uninterrupted [`BootstrapAnalysis::try_run`]. The
     /// one exception is [`AnalysisResult::trace`]: it only counts kernels
     /// the *current* process executed (jobs restored from disk are not
     /// re-run, so their kernel work is genuinely absent).

@@ -9,10 +9,10 @@
 //!   deterministic prefix (stepwise-addition start, engine construction)
 //!   is recomputed from the seed and only the mutable state (tree, Γ
 //!   shape, round counters) is restored from disk.
-//! * [`BootstrapStore`] — an append-only log of completed bootstrap /
-//!   inference jobs. Each record is one line; a crash mid-write leaves at
-//!   most one malformed trailing record, which is dropped on reload (the
-//!   job simply re-runs).
+//! * [`BootstrapStore`] — an append-only [`obs::applog`] log of completed
+//!   bootstrap / inference jobs. Each record is one line; a crash
+//!   mid-write leaves at most one torn or malformed trailing record, which
+//!   is cut off on reload (the job simply re-runs).
 //!
 //! Both formats are plain text, versioned by a header line, and guarded by
 //! an FNV-1a fingerprint of the analysis inputs so a checkpoint written
@@ -23,6 +23,7 @@
 use crate::alignment::PatternAlignment;
 use crate::error::{PhyloError, Result};
 use crate::search::SearchConfig;
+use obs::applog::AppendLog;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -383,15 +384,15 @@ pub struct JobRecord {
 ///
 /// Records must arrive contiguously from index 0 — the analysis driver
 /// completes jobs in chunks and appends each chunk in order, so "how far
-/// did we get" is simply the record count. On open, a malformed or
-/// truncated trailing record (a crash mid-append) is discarded and the
-/// file is rewritten to the clean prefix.
+/// did we get" is simply the record count. On open, the log ends at its
+/// first torn, malformed or out-of-order record (a crash mid-append): the
+/// file is cut back to the clean prefix. Every append is synced.
 #[derive(Debug)]
 pub struct BootstrapStore {
     path: PathBuf,
-    fingerprint: u64,
     total: usize,
     records: Vec<JobRecord>,
+    log: AppendLog,
 }
 
 impl BootstrapStore {
@@ -404,62 +405,37 @@ impl BootstrapStore {
         total: usize,
     ) -> Result<BootstrapStore> {
         let path = path.into();
-        let mut store = BootstrapStore { path, fingerprint, total, records: Vec::new() };
-        let file = match std::fs::File::open(&store.path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                store.rewrite()?;
-                return Ok(store);
-            }
-            Err(e) => return Err(io_err(&store.path, e)),
-        };
-        let path = store.path.clone();
-        let mut lines = LineReader::new(std::io::BufReader::new(file));
-        check_header(&path, &mut lines, "bootstrap", fingerprint)?;
-        let total_line = lines
-            .next_line()
-            .map_err(|e| io_err(&path, e))?
-            .ok_or_else(|| bad(&path, "missing total line"))?;
-        let found_total = total_line
-            .strip_prefix("total ")
-            .ok_or_else(|| bad(&path, "missing total line"))
-            .and_then(|t| parse_usize(&path, "total", t))?;
-        if found_total != total {
-            return Err(bad(
-                &path,
-                format!("job count mismatch ({found_total} on disk, {total} expected)"),
-            ));
-        }
-        let mut truncated = false;
+        let header =
+            format!("{MAGIC} v{VERSION} bootstrap\nfingerprint {fingerprint:016x}\ntotal {total}");
+        let mut log = AppendLog::open(&path, &header, true).map_err(|e| match e.kind() {
+            // A foreign header: another analysis, job count or version.
+            std::io::ErrorKind::InvalidData => bad(&path, e.to_string()),
+            _ => io_err(&path, e),
+        })?;
+        let mut records = Vec::new();
+        let mut cut = None;
+        let mut lines = log.lines().map_err(|e| io_err(&path, e))?;
         loop {
-            match lines.next_line() {
-                Ok(None) => break,
-                Ok(Some(line)) => match parse_record(line, store.records.len()) {
-                    Some(rec) => store.records.push(rec),
-                    // First bad/out-of-order record: everything after it is
-                    // the debris of a crash mid-append. Drop it and stop.
-                    None => {
-                        truncated = true;
-                        break;
-                    }
-                },
-                // A torn append can leave non-UTF-8 garbage on the final
-                // line; inside the record section that is crash debris too,
-                // not a hard error. Genuine I/O failures still propagate.
-                Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                    truncated = true;
+            let good_end = lines.end();
+            let Some(line) = lines.next_line().map_err(|e| io_err(&path, e))? else { break };
+            match std::str::from_utf8(line).ok().and_then(|l| parse_record(l, records.len())) {
+                Some(rec) => records.push(rec),
+                // First bad/out-of-order record: everything from it on is
+                // the debris of a crash mid-append. End the log before it.
+                None => {
+                    cut = Some(good_end);
                     break;
                 }
-                Err(e) => return Err(io_err(&path, e)),
             }
         }
-        if store.records.len() > total {
+        drop(lines);
+        if records.len() > total {
             return Err(bad(&path, "more records than jobs"));
         }
-        if truncated {
-            store.rewrite()?;
+        if let Some(end) = cut {
+            log.truncate(end).map_err(|e| io_err(&path, e))?;
         }
-        Ok(store)
+        Ok(BootstrapStore { path, total, records, log })
     }
 
     /// Number of jobs completed and persisted.
@@ -485,31 +461,13 @@ impl BootstrapStore {
         let line = record_line(index, log_likelihood, tree_exact);
         let metrics = ckpt_metrics();
         let t0 = metrics.map(|_| Instant::now());
-        let mut f = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&self.path)
-            .map_err(|e| io_err(&self.path, e))?;
-        f.write_all(line.as_bytes()).map_err(|e| io_err(&self.path, e))?;
-        f.sync_all().map_err(|e| io_err(&self.path, e))?;
+        self.log.append(&line).map_err(|e| io_err(&self.path, e))?;
         if let (Some(m), Some(t0)) = (metrics, t0) {
             m.append_ns.record(t0.elapsed().as_nanos() as u64);
-            m.append_bytes.add(line.len() as u64);
+            m.append_bytes.add(line.len() as u64 + 1);
         }
         self.records.push(JobRecord { index, log_likelihood, tree_exact: tree_exact.to_owned() });
         Ok(())
-    }
-
-    /// Rewrite the whole file from the in-memory state (header + clean
-    /// records) — used on creation and after dropping crash debris.
-    fn rewrite(&self) -> Result<()> {
-        let mut out = String::new();
-        let _ = writeln!(out, "{MAGIC} v{VERSION} bootstrap");
-        let _ = writeln!(out, "fingerprint {:016x}", self.fingerprint);
-        let _ = writeln!(out, "total {}", self.total);
-        for rec in &self.records {
-            out.push_str(&record_line(rec.index, rec.log_likelihood, &rec.tree_exact));
-        }
-        atomic_write(&self.path, &out)
     }
 }
 
@@ -517,7 +475,7 @@ impl BootstrapStore {
 /// torn append can damage at most the final line.
 fn record_line(index: usize, log_likelihood: f64, tree_exact: &str) -> String {
     format!(
-        "job {index} {:016x} {}\n",
+        "job {index} {:016x} {}",
         log_likelihood.to_bits(),
         tree_exact.trim_end_matches('\n').replace('\n', "|")
     )

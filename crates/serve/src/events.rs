@@ -9,16 +9,14 @@
 //! job id, and trace id — so an incident line joins against both the
 //! journal and a span tree.
 //!
-//! The file format follows `journal.jsonl`: a `#`-prefixed header line
-//! whose version bump invalidates old logs loudly, then one JSON object
-//! per line, append-only. [`EventLog::read`] is torn-tail tolerant — a
-//! crash mid-append leaves a final line that fails to parse and is
-//! skipped, never an error.
+//! The file is an [`obs::applog`] log like `journal.jsonl`: a versioned
+//! `#` header line, then one JSON object per line. Opening heals a torn
+//! tail before the first new event; [`EventLog::read`] skips it and any
+//! complete line that fails to parse. Events are never synced.
 
 use crate::wire::{self, JsonObj};
+use obs::applog::{self, AppendLog};
 use obs::json;
-use std::fs::{File, OpenOptions};
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -73,7 +71,7 @@ pub struct EventRecord {
 
 #[derive(Debug)]
 struct Inner {
-    file: Mutex<File>,
+    log: Mutex<AppendLog>,
     epoch: Instant,
     path: PathBuf,
 }
@@ -87,16 +85,12 @@ pub struct EventLog {
 }
 
 impl EventLog {
-    /// Open (or create) the log at `path` for appending, writing the
-    /// header if the file is empty.
+    /// Open (or create) the log at `path` for appending.
     pub fn open(path: impl Into<PathBuf>) -> std::io::Result<EventLog> {
         let path = path.into();
-        let mut file = OpenOptions::new().create(true).append(true).open(&path)?;
-        if file.metadata()?.len() == 0 {
-            writeln!(file, "{EVENTS_HEADER}")?;
-        }
+        let log = AppendLog::open(&path, EVENTS_HEADER, false)?;
         Ok(EventLog {
-            inner: Arc::new(Inner { file: Mutex::new(file), epoch: Instant::now(), path }),
+            inner: Arc::new(Inner { log: Mutex::new(log), epoch: Instant::now(), path }),
         })
     }
 
@@ -118,21 +112,18 @@ impl EventLog {
             .u64("trace", trace)
             .str("detail", detail)
             .finish();
-        let mut file = self.inner.file.lock().expect("event log file");
-        let _ = writeln!(file, "{line}");
+        let _ = self.inner.log.lock().expect("event log").append(&line);
     }
 
     /// Parse every well-formed event line of the file at `path`, skipping
-    /// the header, blanks, and a torn final line.
+    /// lines that fail to parse and a torn final line.
     pub fn read(path: impl AsRef<Path>) -> std::io::Result<Vec<EventRecord>> {
-        let contents = std::fs::read_to_string(path)?;
+        let mut lines = applog::read(path.as_ref(), EVENTS_HEADER)?;
         let mut events = Vec::new();
-        for line in contents.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
+        while let Some(line) = lines.next_line()? {
+            let Some(v) = std::str::from_utf8(line).ok().and_then(|l| json::parse(l).ok()) else {
                 continue;
-            }
-            let Ok(v) = json::parse(line) else { continue };
+            };
             let (Some(level), Some(kind)) =
                 (wire::get_str(&v, "level").and_then(Level::parse), wire::get_str(&v, "kind"))
             else {
@@ -197,6 +188,28 @@ mod tests {
         let events = EventLog::read(&path).unwrap();
         assert_eq!(events.len(), 1, "torn tail and bad level skipped, not fatal");
         assert_eq!(events[0].kind, "drain");
+
+        // An event emitted after the torn tail is kept, not glued onto it.
+        EventLog::open(&path).unwrap().emit(Level::Info, "after", "", 0, 0, "");
+        let kinds = |path: &Path| -> Vec<String> {
+            EventLog::read(path).unwrap().into_iter().map(|e| e.kind).collect()
+        };
+        assert_eq!(kinds(&path), ["drain", "after"]);
+
+        // A one-byte non-UTF-8 tail is torn debris too, for reader and writer.
+        let mut raw = std::fs::read(&path).unwrap();
+        raw.push(0xce);
+        std::fs::write(&path, raw).unwrap();
+        assert_eq!(kinds(&path), ["drain", "after"]);
+        EventLog::open(&path).unwrap().emit(Level::Info, "later", "", 0, 0, "");
+        assert_eq!(kinds(&path), ["drain", "after", "later"]);
+
+        // A log written by another format version is refused by both.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let v2 = text.replacen(EVENTS_HEADER, "#RAXML-CELL-SERVE-EVENTS v2", 1);
+        std::fs::write(&path, v2).unwrap();
+        assert_eq!(EventLog::read(&path).unwrap_err().kind(), std::io::ErrorKind::InvalidData);
+        assert!(EventLog::open(&path).is_err(), "the writer refuses it too");
     }
 
     #[test]

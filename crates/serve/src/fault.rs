@@ -21,6 +21,7 @@
 //! code under test cannot tell chaos from a hostile network — which is the
 //! property the exactly-once retry machinery must survive.
 
+use obs::trace::splitmix64;
 use std::io::{ErrorKind, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -373,14 +374,6 @@ impl<S: Write> Write for FaultyStream<S> {
     }
 }
 
-/// The splitmix64 finalizer — the same mixing `cellsim::fault` uses.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,6 +404,16 @@ mod tests {
             a.sequence_fingerprint(8, 256),
             c.sequence_fingerprint(8, 256),
             "different seed must diverge"
+        );
+    }
+
+    /// One literal pins the whole decision stream, so a change to the
+    /// mixer cannot silently move every recorded chaos schedule.
+    #[test]
+    fn sequence_fingerprint_is_pinned() {
+        assert_eq!(
+            ServeFaultPlan::uniform(42, 0.3).sequence_fingerprint(8, 256),
+            0x06c0_83cd_6d0c_6ab0
         );
     }
 

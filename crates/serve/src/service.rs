@@ -42,7 +42,8 @@
 //! ## Crash safety
 //!
 //! With a state dir configured, every accepted job is journaled
-//! (`journal.jsonl`, JSON lines, torn-tail tolerant) and checkpointing jobs
+//! (`journal.jsonl`, an [`obs::applog`] log of JSON lines whose torn tail
+//! is healed on open) and checkpointing jobs
 //! snapshot through [`phylo::checkpoint::SearchCheckpointer`] under
 //! `job-<id>.ckpt`. On restart the journal is replayed: finished jobs come
 //! back pollable with their exact result bits, unfinished jobs re-enqueue
@@ -51,6 +52,7 @@
 //! unsettled in the journal so the restart retries it.
 
 use crate::wire::{self, JobSpec, JsonObj, RejectReason, StatsWire, WireResult, WireState};
+use obs::applog::{AppendLog, Lines};
 use obs::json::{self, Json};
 use obs::trace::{trace_id, SpanCtx};
 use phylo::alignment::PatternAlignment;
@@ -62,8 +64,7 @@ use phylo::search::{run_inference, InferenceOptions, SearchResult};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{HashMap, VecDeque};
-use std::fs::{File, OpenOptions};
-use std::io::Write as _;
+use std::io::BufRead;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -326,7 +327,7 @@ struct Shared {
     feed_cv: Condvar,
     /// Wakes status waiters: some job reached `Done`/`Failed`.
     done_cv: Condvar,
-    journal: Mutex<Option<File>>,
+    journal: Mutex<Option<AppendLog>>,
     sealed_ok: AtomicU64,
     sealed_failed: AtomicU64,
     /// `sync_data` calls actually issued — the durability tests' witness
@@ -384,21 +385,12 @@ impl Shared {
 
     fn journal_line(&self, line: &str) {
         let mut guard = self.journal.lock().expect("journal lock");
-        if let Some(file) = guard.as_mut() {
-            // A torn final line (crash mid-append) is tolerated by the
-            // replay parser; whether the append survives a crash at all is
-            // the sync policy's call.
-            let _ = writeln!(file, "{line}");
-            match self.config.sync_policy {
-                SyncPolicy::EveryAppend => {
-                    if file.sync_data().is_ok() {
-                        self.journal_syncs.fetch_add(1, Ordering::Relaxed);
-                        obs::global().counter("serve_journal_sync_total").inc();
-                    }
-                }
-                SyncPolicy::OsManaged => {
-                    let _ = file.flush();
-                }
+        if let Some(log) = guard.as_mut() {
+            // A durable journal syncs inside `append`: an `Ok` under
+            // `EveryAppend` is one `sync_data` issued.
+            if log.append(line).is_ok() && self.config.sync_policy == SyncPolicy::EveryAppend {
+                self.journal_syncs.fetch_add(1, Ordering::Relaxed);
+                obs::global().counter("serve_journal_sync_total").inc();
             }
         }
     }
@@ -570,20 +562,10 @@ impl InferenceService {
         let mut journal = None;
         if let Some(dir) = &config.state_dir {
             std::fs::create_dir_all(dir)?;
-            let path = dir.join("journal.jsonl");
-            if path.exists() {
-                replay_journal(&std::fs::read_to_string(&path)?, &mut state)?;
-            }
-            let mut file = OpenOptions::new().create(true).append(true).open(&path)?;
-            if file.metadata()?.len() == 0 {
-                writeln!(file, "{JOURNAL_HEADER}")?;
-                if config.sync_policy == SyncPolicy::EveryAppend {
-                    file.sync_data()?;
-                } else {
-                    file.flush()?;
-                }
-            }
-            journal = Some(file);
+            let durable = config.sync_policy == SyncPolicy::EveryAppend;
+            let log = AppendLog::open(&dir.join("journal.jsonl"), JOURNAL_HEADER, durable)?;
+            replay_journal(log.lines()?, &mut state)?;
+            journal = Some(log);
         }
         obs::global().gauge("serve_queue_depth").set(state.stats.queued as f64);
 
@@ -1136,7 +1118,7 @@ fn on_sealed(shared: &Arc<Shared>, farm_idx: usize, sealed: &Result<(), FarmErro
 
 /// Replay a journal into a fresh `State`: finished jobs become pollable
 /// records, unfinished ones re-enqueue under their original ids.
-fn replay_journal(contents: &str, state: &mut State) -> std::io::Result<()> {
+fn replay_journal(mut lines: Lines<impl BufRead>, state: &mut State) -> std::io::Result<()> {
     // (id, tenant, spec, trace, settled-state) in submit order.
     let mut order: Vec<u64> = Vec::new();
     let mut submitted: HashMap<u64, (String, JobSpec, u64)> = HashMap::new();
@@ -1146,13 +1128,11 @@ fn replay_journal(contents: &str, state: &mut State) -> std::io::Result<()> {
     // from before the crash still dedups to the original id.
     let mut idem_of: HashMap<u64, String> = HashMap::new();
 
-    for line in contents.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
+    while let Some(line) = lines.next_line()? {
+        // A complete line that fails to parse is skipped.
+        let Some(v) = std::str::from_utf8(line).ok().and_then(|l| json::parse(l).ok()) else {
             continue;
-        }
-        // A torn final line (crash mid-append) parses as an error: skip.
-        let Ok(v) = json::parse(line) else { continue };
+        };
         let (Some(ev), Some(job)) = (event_kind(&v), wire::get_u64(&v, "job")) else { continue };
         match ev {
             "submit" => {

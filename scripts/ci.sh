@@ -29,6 +29,11 @@ if [[ "$quick" -eq 0 ]]; then
 fi
 run cargo test --workspace -q
 
+# Benchmark harness: perfbench/ is its own cargo workspace built on the
+# public APIs of phylo, serve and obs, so an API change there must still
+# build it and pass its helper tests.
+run env CARGO_TARGET_DIR=.bench_build cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 # Determinism gate: the parallel-path tests must pass both pinned to one
 # thread and at the default thread count — the fixed-chunk reductions make
 # parallel log-likelihoods bit-identical regardless of RAYON_NUM_THREADS.
@@ -213,9 +218,9 @@ EOF
     rm -rf "$scale_dir"
 fi
 
-# Migration gate: the deprecated infer_ml_tree_* shims and bench::arg_value
-# must not be used anywhere in shipping code (bins, examples, libs).
-# Equivalence tests opt in explicitly with #[allow(deprecated)].
+# Deprecation gate: the workspace has no deprecated items left, and
+# shipping code (bins, examples, libs) must not start using any deprecated
+# API again, ours or a dependency's.
 run cargo clippy -q --workspace --bins --examples -- -D deprecated
 
 echo

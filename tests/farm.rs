@@ -3,7 +3,8 @@
 //! determinism contract across worker counts, and coherence between the
 //! farm's own statistics and the `cellsim` trace-log bridge.
 
-use cellsim::tracelog::{validate_jsonl, EventData, TraceLog};
+use cellsim::tracelog::{EventData, TraceLog};
+use obs::json::validate_jsonl;
 use phylo::farm::{run_batch, run_farm, FarmConfig, FarmError, FarmFaultPlan};
 use phylo::prelude::*;
 use raxml_cell::FarmTracer;

@@ -80,7 +80,8 @@ proptest! {
 fn every_scheduler_emits_valid_exports_for_a_real_round() {
     use cellsim::cost::CostModel;
     use cellsim::fault::FaultPlan;
-    use cellsim::tracelog::{validate_json, validate_jsonl, TraceLog};
+    use cellsim::tracelog::TraceLog;
+    use obs::json::validate_jsonl;
     use raxml_cell::config::{OptConfig, Scheduler};
     use raxml_cell::experiment::{capture_workload, WorkloadSpec};
     use raxml_cell::offload::price_trace;
@@ -109,7 +110,8 @@ fn every_scheduler_emits_valid_exports_for_a_real_round() {
         assert!(!tlog.is_empty(), "{sched:?}: no events emitted");
 
         let chrome = tlog.to_chrome_trace(model.clock_hz);
-        validate_json(&chrome).unwrap_or_else(|e| panic!("{sched:?}: chrome trace invalid: {e}"));
+        obs::json::parse(&chrome)
+            .unwrap_or_else(|e| panic!("{sched:?}: chrome trace invalid: {e}"));
         assert!(chrome.contains("\"traceEvents\""), "{sched:?}: missing traceEvents");
 
         let metrics = tlog.to_metrics_jsonl(model.clock_hz, params.n_spes);

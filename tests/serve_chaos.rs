@@ -192,7 +192,37 @@ fn torn_journal_tail_is_tolerated_and_keys_survive() {
     assert_eq!(restored.log_likelihood.to_bits(), done.log_likelihood.to_bits());
     let replayed = revived.submit_idem("a", &quick_spec(2), Some("k-torn")).unwrap();
     assert_eq!(replayed, job, "key from before the torn tail still dedups");
+    // A job acked after the restart must not glue its submit line onto
+    // the torn one: it and its key survive the next restart.
+    let acked = revived.submit_idem("a", &quick_spec(3), Some("k-after")).unwrap();
+    let acked_done = revived.wait_done(acked, WAIT).unwrap().result.unwrap();
     revived.shutdown().unwrap();
+
+    // A one-byte non-UTF-8 torn tail must not stop the service starting.
+    let mut file = std::fs::OpenOptions::new().append(true).open(&journal).unwrap();
+    file.write_all(b"\xce").unwrap();
+    drop(file);
+    let again =
+        InferenceService::start(ServiceConfig::new(1).paused().with_state_dir(&dir)).unwrap();
+    let restored = again.status(acked).expect("job acked after the torn tail").result.unwrap();
+    assert_eq!(restored.log_likelihood.to_bits(), acked_done.log_likelihood.to_bits());
+    assert_eq!(restored.alpha.to_bits(), acked_done.alpha.to_bits());
+    assert_eq!(restored.tree_exact, acked_done.tree_exact);
+    let deduped = again.submit_idem("a", &quick_spec(3), Some("k-after")).unwrap();
+    assert_eq!(deduped, acked, "the key acked after the torn tail survives");
+    again.resume();
+    again.shutdown().unwrap();
+
+    // A journal written by another format version is refused, not skipped.
+    let text = std::fs::read_to_string(&journal).unwrap();
+    let v1 = "#RAXML-CELL-SERVE-JOURNAL v1";
+    assert!(text.starts_with(v1));
+    std::fs::write(&journal, text.replacen(v1, "#RAXML-CELL-SERVE-JOURNAL v2", 1)).unwrap();
+    let Err(err) = InferenceService::start(ServiceConfig::new(1).with_state_dir(&dir)) else {
+        panic!("a v2 journal must be refused");
+    };
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("v2"), "{err}");
 }
 
 /// Cancelling a queued job settles it as `Cancelled` without dispatching

@@ -1,117 +1,78 @@
-//! Equivalence tests for the unified inference API: every deprecated
-//! `infer_ml_tree_*` shim must be lnL-bit-identical to the `run_inference`
-//! call it delegates to, and the deprecated panicking `BootstrapAnalysis::run`
-//! must agree with `try_run`. These pin the migration path: callers can
-//! switch entry points without a single bit of numerical drift.
-
-#![allow(deprecated)]
+//! Equivalence tests for the unified inference API: every execution option
+//! of `run_inference` — tracing, a pooled workspace, a checkpoint — must
+//! leave the result bit-identical to a plain run, and the fallible
+//! bootstrap driver must repeat itself exactly. Callers can switch options
+//! without a single bit of numerical drift.
 
 use phylo::bootstrap::BootstrapAnalysis;
 use phylo::checkpoint::SearchCheckpointer;
-use phylo::likelihood::LikelihoodWorkspace;
 use phylo::prelude::*;
 
 fn workload(seed: u64) -> PatternAlignment {
     SimulationConfig::new(7, 240, seed).generate().alignment
 }
 
-fn unified(aln: &PatternAlignment, cfg: &SearchConfig, seed: u64) -> SearchResult {
-    run_inference(aln, &InferenceRequest::new(cfg.clone(), seed), InferenceOptions::new())
-        .unwrap()
-        .result
+fn run(aln: &PatternAlignment, seed: u64, options: InferenceOptions<'_>) -> InferenceOutcome {
+    run_inference(aln, &InferenceRequest::new(SearchConfig::fast(), seed), options).unwrap()
 }
 
-fn assert_same(label: &str, shim: &SearchResult, unified: &SearchResult) {
+fn plain(aln: &PatternAlignment, seed: u64) -> SearchResult {
+    run(aln, seed, InferenceOptions::new()).result
+}
+
+fn assert_same(label: &str, got: &SearchResult, plain: &SearchResult) {
     assert_eq!(
-        shim.log_likelihood.to_bits(),
-        unified.log_likelihood.to_bits(),
-        "{label}: lnL bits diverge from run_inference"
+        got.log_likelihood.to_bits(),
+        plain.log_likelihood.to_bits(),
+        "{label}: lnL bits diverge from a plain run"
     );
     assert_eq!(
-        shim.tree.to_exact_string(),
-        unified.tree.to_exact_string(),
-        "{label}: tree diverges from run_inference"
+        got.tree.to_exact_string(),
+        plain.tree.to_exact_string(),
+        "{label}: tree diverges from a plain run"
     );
-    assert_eq!(shim.alpha.to_bits(), unified.alpha.to_bits(), "{label}: alpha bits diverge");
-    assert_eq!(shim.rounds, unified.rounds, "{label}: round count diverges");
+    assert_eq!(got.alpha.to_bits(), plain.alpha.to_bits(), "{label}: alpha bits diverge");
+    assert_eq!(got.rounds, plain.rounds, "{label}: round count diverges");
 }
 
 #[test]
-fn infer_ml_tree_matches_run_inference() {
-    let aln = workload(11);
-    let cfg = SearchConfig::fast();
-    assert_same("infer_ml_tree", &infer_ml_tree(&aln, &cfg, 3), &unified(&aln, &cfg, 3));
-}
-
-#[test]
-fn infer_ml_tree_traced_matches_run_inference() {
+fn traced_run_matches_untraced() {
     let aln = workload(12);
-    let cfg = SearchConfig::fast();
-    let shim = infer_ml_tree_traced(&aln, &cfg, 4, true);
-    let via_options = run_inference(
-        &aln,
-        &InferenceRequest::new(cfg.clone(), 4),
-        InferenceOptions::new().traced(),
-    )
-    .unwrap()
-    .result;
-    assert_same("infer_ml_tree_traced", &shim, &via_options);
-    assert!(!via_options.trace.events().is_empty(), "traced run must record events");
+    let traced = run(&aln, 4, InferenceOptions::new().traced()).result;
+    assert!(!traced.trace.events().is_empty(), "traced run must record events");
     // Tracing itself must not perturb the arithmetic.
-    assert_same("traced vs untraced", &shim, &unified(&aln, &cfg, 4));
+    assert_same("traced", &traced, &plain(&aln, 4));
 }
 
 #[test]
-fn infer_ml_tree_pooled_matches_run_inference() {
+fn pooled_workspace_matches_fresh() {
     let aln = workload(13);
-    let cfg = SearchConfig::fast();
-    let (shim, ws) = infer_ml_tree_pooled(&aln, &cfg, 5, false, LikelihoodWorkspace::default());
-    let outcome = run_inference(
-        &aln,
-        &InferenceRequest::new(cfg.clone(), 5),
-        InferenceOptions::new().with_workspace(ws),
-    )
-    .unwrap();
-    assert_same("infer_ml_tree_pooled", &shim, &outcome.result);
+    // A workspace recycled from an earlier job on other data.
+    let used = run(&workload(99), 1, InferenceOptions::new()).workspace;
+    let pooled = run(&aln, 5, InferenceOptions::new().with_workspace(used)).result;
+    assert_same("pooled workspace", &pooled, &plain(&aln, 5));
 }
 
 #[test]
-fn infer_ml_tree_checked_matches_run_inference() {
-    let aln = workload(14);
-    let cfg = SearchConfig::fast();
-    let shim = infer_ml_tree_checked(&aln, &cfg, 6).unwrap();
-    assert_same("infer_ml_tree_checked", &shim, &unified(&aln, &cfg, 6));
-}
-
-#[test]
-fn infer_ml_tree_checkpointed_matches_run_inference() {
+fn checkpointed_run_matches_plain() {
     let dir = std::env::temp_dir().join("raxml-cell-unified-api-tests");
     std::fs::create_dir_all(&dir).unwrap();
-    let shim_path = dir.join("shim.ckpt");
-    let new_path = dir.join("unified.ckpt");
-    let _ = std::fs::remove_file(&shim_path);
-    let _ = std::fs::remove_file(&new_path);
+    let path = dir.join("checkpointed.ckpt");
+    let _ = std::fs::remove_file(&path);
 
     let aln = workload(15);
-    let cfg = SearchConfig::fast();
-    let request = InferenceRequest::new(cfg.clone(), 7);
-    let fp = request.fingerprint(&aln);
-
-    let mut shim_ckpt = SearchCheckpointer::new(&shim_path, fp);
-    let shim = infer_ml_tree_checkpointed(&aln, &cfg, 7, &mut shim_ckpt).unwrap();
-
-    let mut new_ckpt = SearchCheckpointer::new(&new_path, fp);
-    let via_options =
-        run_inference(&aln, &request, InferenceOptions::new().with_checkpoint(&mut new_ckpt))
+    let request = InferenceRequest::new(SearchConfig::fast(), 7);
+    let mut ckpt = SearchCheckpointer::new(&path, request.fingerprint(&aln));
+    let checkpointed =
+        run_inference(&aln, &request, InferenceOptions::new().with_checkpoint(&mut ckpt))
             .unwrap()
             .result;
-    assert_same("infer_ml_tree_checkpointed", &shim, &via_options);
-    // And checkpointing must not perturb the un-checkpointed result.
-    assert_same("checkpointed vs plain", &shim, &unified(&aln, &cfg, 7));
+    assert!(path.exists(), "the checkpointed run must snapshot");
+    assert_same("checkpointed", &checkpointed, &plain(&aln, 7));
 }
 
 #[test]
-fn bootstrap_run_matches_try_run() {
+fn bootstrap_try_run_is_repeatable() {
     let aln = workload(16);
     let analysis = BootstrapAnalysis {
         n_inferences: 1,
@@ -120,16 +81,16 @@ fn bootstrap_run_matches_try_run() {
         seed: 9,
         search: SearchConfig::fast(),
     };
-    let panicking = analysis.run(&aln);
-    let fallible = analysis.try_run(&aln).unwrap();
+    let first = analysis.try_run(&aln).unwrap();
+    let again = analysis.try_run(&aln).unwrap();
     assert_eq!(
-        panicking.best_log_likelihood.to_bits(),
-        fallible.best_log_likelihood.to_bits(),
-        "run and try_run diverge on the best tree's lnL"
+        first.best_log_likelihood.to_bits(),
+        again.best_log_likelihood.to_bits(),
+        "repeated try_run diverges on the best tree's lnL"
     );
-    assert_eq!(panicking.best.tree.to_exact_string(), fallible.best.tree.to_exact_string());
-    assert_eq!(panicking.bootstrap_trees.len(), fallible.bootstrap_trees.len());
-    for (a, b) in panicking.bootstrap_trees.iter().zip(&fallible.bootstrap_trees) {
+    assert_eq!(first.best.tree.to_exact_string(), again.best.tree.to_exact_string());
+    assert_eq!(first.bootstrap_trees.len(), again.bootstrap_trees.len());
+    for (a, b) in first.bootstrap_trees.iter().zip(&again.bootstrap_trees) {
         assert_eq!(a.to_exact_string(), b.to_exact_string());
     }
 }

@@ -20,6 +20,7 @@
 //! hand-rolled (the workspace has no serde); envelopes are checked on
 //! write and read back with the `obs::json` parser.
 
+use obs::json::{self, Json};
 use std::path::{Path, PathBuf};
 
 /// Version of the envelope shape. Bump when renaming fields; the gate
@@ -89,7 +90,7 @@ impl Envelope {
         out.push_str("  \"metrics\": {");
         for (i, (k, v)) in self.metrics.iter().enumerate() {
             let sep = if i == 0 { "\n" } else { ",\n" };
-            out.push_str(&format!("{sep}    {}: {}", json_str(k), json_num(*v)));
+            out.push_str(&format!("{sep}    {}: {}", json_str(k), json::finite(*v)));
         }
         out.push_str(if self.metrics.is_empty() { "}\n" } else { "\n  }\n" });
         out.push_str("}\n");
@@ -99,31 +100,24 @@ impl Envelope {
     /// Parse an envelope written by [`Envelope::to_json`] (or by hand, as
     /// long as the shape matches). Rejects other schema versions.
     pub fn from_json(text: &str) -> Result<Envelope, String> {
-        let v = obs::json::parse(text)?;
-        let version = v
-            .get("schema_version")
-            .and_then(obs::json::Json::as_f64)
-            .ok_or("missing schema_version")?;
+        let v = json::parse(text)?;
+        let version =
+            v.get("schema_version").and_then(Json::as_f64).ok_or("missing schema_version")?;
         if version != SCHEMA_VERSION as f64 {
             return Err(format!("schema_version {version} != supported {SCHEMA_VERSION}"));
         }
-        let artifact = v
-            .get("artifact")
-            .and_then(obs::json::Json::as_str)
-            .ok_or("missing artifact")?
-            .to_string();
-        let git_rev =
-            v.get("git_rev").and_then(obs::json::Json::as_str).unwrap_or("unknown").to_string();
+        let artifact =
+            v.get("artifact").and_then(Json::as_str).ok_or("missing artifact")?.to_string();
+        let git_rev = v.get("git_rev").and_then(Json::as_str).unwrap_or("unknown").to_string();
         let mut config = Vec::new();
-        if let Some(obj) = v.get("config").and_then(obs::json::Json::as_obj) {
+        if let Some(obj) = v.get("config").and_then(Json::as_obj) {
             for (k, val) in obj {
                 let s = val.as_str().ok_or(format!("config.{k} is not a string"))?;
                 config.push((k.clone(), s.to_string()));
             }
         }
         let mut metrics = Vec::new();
-        let obj =
-            v.get("metrics").and_then(obs::json::Json::as_obj).ok_or("missing metrics object")?;
+        let obj = v.get("metrics").and_then(Json::as_obj).ok_or("missing metrics object")?;
         for (k, val) in obj {
             let n = val.as_f64().ok_or(format!("metrics.{k} is not a number"))?;
             metrics.push((k.clone(), n));
@@ -142,29 +136,7 @@ impl Envelope {
 }
 
 fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_num(v: f64) -> String {
-    if !v.is_finite() {
-        return "0".to_string();
-    }
-    // `{v}` renders integral floats without a dot ("3"), still legal JSON.
-    format!("{v}")
+    format!("\"{}\"", json::escape(s))
 }
 
 /// The repository root (two levels above this crate's manifest).
@@ -226,7 +198,7 @@ mod tests {
     fn envelope_round_trips_through_json() {
         let e = sample();
         let text = e.to_json();
-        obs::json::parse(&text).expect("envelope is valid JSON");
+        json::parse(&text).expect("envelope is valid JSON");
         let back = Envelope::from_json(&text).expect("parse back");
         assert_eq!(back.artifact, "selftest");
         assert_eq!(back.config_value("jobs"), Some("12"));
@@ -240,7 +212,7 @@ mod tests {
     #[test]
     fn empty_envelope_is_still_valid() {
         let text = Envelope::new("empty").to_json();
-        obs::json::parse(&text).expect("valid JSON");
+        json::parse(&text).expect("valid JSON");
         let back = Envelope::from_json(&text).expect("parse back");
         assert!(back.metrics.is_empty() && back.config.is_empty());
     }

@@ -43,6 +43,7 @@
 use bench::artifact::{bench_artifact_path, Envelope, OutputFormat};
 use bench::cli::StudyArgs;
 use bench::or_exit;
+use bench::serve_load::check_life;
 use serve::client::{scrape_metrics, AddrCell, RetryClient, RetryPolicy};
 use serve::fault::ServeFaultPlan;
 use serve::server::{Server, ServerConfig};
@@ -234,17 +235,8 @@ fn main() {
 
     // Books #3: the farm view, per life and across lives.
     for (label, report) in [("life1", &report1), ("life2", &report2)] {
-        if report.dispatched != report.farm.n_jobs {
-            fail(&format!(
-                "{label}: dispatched {} != farm n_jobs {}",
-                report.dispatched, report.farm.n_jobs
-            ));
-        }
-        if report.sealed_ok + report.sealed_failed != report.dispatched as u64 {
-            fail(&format!(
-                "{label}: seals {} + {} != dispatched {}",
-                report.sealed_ok, report.sealed_failed, report.dispatched
-            ));
+        if let Err(e) = check_life(report) {
+            fail(&format!("{label}: {e}"));
         }
     }
     if report1.dispatched + report2.dispatched != total {

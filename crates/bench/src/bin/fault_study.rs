@@ -40,7 +40,7 @@ fn main() {
         }
     }
     let format = args.format;
-    let (w, label) = bench::or_exit(bench::workload_from_args());
+    let (w, label) = bench::or_exit(bench::capture(args.quick));
     match format {
         OutputFormat::Text => {
             println!("workload: {label}");

@@ -45,7 +45,7 @@ fn main() {
     let format = args.format;
     let no_artifact = args.no_artifact;
     let out_dir = args.out_dir("target/profile_study");
-    let (workload, label) = bench::or_exit(bench::workload_from_args());
+    let (workload, label) = bench::or_exit(bench::capture(args.quick));
     if format.is_text() {
         println!("workload: {label} ({} SPR rounds marked)", workload.rounds.len());
     }

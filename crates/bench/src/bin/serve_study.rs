@@ -1,12 +1,12 @@
 //! Service-tier study: sustained multi-tenant load over the real wire
 //! protocol, measuring jobs/sec and end-to-end latency percentiles.
 //!
-//! The harness is **open-loop**: each tenant thread submits its jobs on a
-//! fixed schedule (one every `--interval-ms`, offset so tenants interleave)
-//! regardless of how fast the service drains them — so queueing delay shows
-//! up in the latencies instead of being hidden by a closed feedback loop.
-//! End-to-end latency is client-observed: submit-frame write to the status
-//! poll that first reports `done`.
+//! The load is the open-loop phase of [`bench::serve_load`]: each tenant
+//! thread submits its jobs on a fixed schedule (one every `--interval-ms`,
+//! offset so tenants interleave) regardless of how fast the service drains
+//! them — so queueing delay shows up in the latencies instead of being
+//! hidden by a closed feedback loop. End-to-end latency is client-observed:
+//! submit-frame write to the status poll that first reports `done`.
 //!
 //! Every run also verifies **exactly-once execution** end to end: the set
 //! of client-observed completed job ids must be exactly the submitted ids
@@ -28,48 +28,16 @@
 //!   --no-artifact    skip writing BENCH_serve.json
 //! ```
 
-use bench::artifact::{bench_artifact_path, Envelope, OutputFormat};
+use bench::artifact::{bench_artifact_path, OutputFormat};
 use bench::cli::StudyArgs;
 use bench::or_exit;
-use serve::client::{scrape_metrics, Client};
-use serve::server::Server;
-use serve::service::{InferenceService, ServiceConfig};
-use serve::wire::{JobKind, JobSpec, Preset, WireState};
-use std::collections::HashSet;
-use std::net::SocketAddr;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-struct LoadConfig {
-    tenants: usize,
-    jobs_per_tenant: usize,
-    workers: usize,
-    interval: Duration,
-    taxa: usize,
-    sites: usize,
-}
-
-/// One tenant thread's observations: per-job (id, e2e latency).
-struct TenantRun {
-    tenant: String,
-    jobs: Vec<(u64, Duration)>,
-}
+use bench::serve_load::{run_load, LoadConfig};
+use serve::client::scrape_metrics;
 
 fn main() {
     let args = StudyArgs::parse();
-    let cfg = LoadConfig {
-        tenants: or_exit(args.usize_value("--tenants")).unwrap_or(3).max(1),
-        jobs_per_tenant: or_exit(args.usize_value("--jobs"))
-            .unwrap_or(if args.smoke { 3 } else { 8 })
-            .max(1),
-        workers: or_exit(args.usize_value("--workers")).unwrap_or(4).max(1),
-        interval: Duration::from_millis(
-            or_exit(args.u64_value("--interval-ms")).unwrap_or(if args.smoke { 5 } else { 30 }),
-        ),
-        taxa: if args.smoke || args.quick { 6 } else { 8 },
-        sites: if args.smoke || args.quick { 120 } else { 300 },
-    };
-    let total = cfg.tenants * cfg.jobs_per_tenant;
+    let cfg = or_exit(LoadConfig::from_args(&args));
+    let total = cfg.total();
     if args.format.is_text() {
         eprintln!(
             "serve_study: {} tenants x {} jobs on {} workers ({}x{} alignment, open loop, {:?} inter-arrival)",
@@ -77,91 +45,24 @@ fn main() {
         );
     }
 
-    // Stand the service + server up on an ephemeral loopback port.
-    let aln = phylo::simulate::SimulationConfig::new(cfg.taxa, cfg.sites, 7).generate().alignment;
-    let service = Arc::new(or_exit(
-        InferenceService::start(ServiceConfig::new(cfg.workers))
-            .map_err(|e| format!("starting service: {e}")),
-    ));
-    service.register_dataset("study", aln);
-    let server =
-        or_exit(Server::bind("127.0.0.1:0", service.clone()).map_err(|e| format!("binding: {e}")));
-    let addr = server.addr();
-
-    // Open-loop multi-tenant load, one client thread per tenant.
-    let wall_start = Instant::now();
-    let runs: Vec<TenantRun> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..cfg.tenants)
-            .map(|t| {
-                let cfg = &cfg;
-                scope.spawn(move || or_exit(run_tenant(addr, t, cfg)))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("tenant thread")).collect()
-    });
-    let wall = wall_start.elapsed();
-
-    // Exactly-once: every submitted id observed done exactly once, and the
-    // shutdown report's farm-level accounting agrees.
-    let mut seen = HashSet::new();
-    let mut latencies_ns: Vec<u64> = Vec::with_capacity(total);
-    for run in &runs {
-        if run.jobs.len() != cfg.jobs_per_tenant {
-            fail(&format!(
-                "tenant {} finished {} jobs, submitted {}",
-                run.tenant,
-                run.jobs.len(),
-                cfg.jobs_per_tenant
-            ));
+    // Exactly-once and farm accounting are checked inside the load phase;
+    // the /metrics scrape runs while the server is still up.
+    let run = run_load(&cfg, true, |addr, _| {
+        let prom = scrape_metrics(addr).map_err(|e| format!("scraping /metrics: {e}"))?;
+        obs::validate_prometheus_text(&prom)?;
+        if !prom.contains("serve_submitted_total") {
+            return Err("/metrics export is missing serve_submitted_total".to_string());
         }
-        for &(id, latency) in &run.jobs {
-            if !seen.insert(id) {
-                fail(&format!("job id {id} completed twice"));
-            }
-            latencies_ns.push(latency.as_nanos() as u64);
-        }
-    }
-    if seen.len() != total {
-        fail(&format!("observed {} distinct jobs, submitted {total}", seen.len()));
-    }
+        Ok(())
+    })
+    .unwrap_or_else(|e| fail(&e));
 
-    // Scrape /metrics over HTTP while the server is still up and validate.
-    let prom = or_exit(scrape_metrics(addr).map_err(|e| format!("scraping /metrics: {e}")));
-    or_exit(obs::validate_prometheus_text(&prom));
-    if !prom.contains("serve_submitted_total") {
-        fail("/metrics export is missing serve_submitted_total");
-    }
-
-    drop(server);
-    let report = service.shutdown().expect("first shutdown");
-    let s = report.stats;
-    if s.accepted != total as u64 || s.completed != total as u64 || s.failed != 0 {
-        fail(&format!("service accounting: {s:?}, expected {total} accepted+completed"));
-    }
-    if report.dispatched != total || report.farm.n_jobs != total {
-        fail(&format!(
-            "farm cross-check: dispatched {} / farm n_jobs {} != {total}",
-            report.dispatched, report.farm.n_jobs
-        ));
-    }
-    if report.sealed_ok + report.sealed_failed != total as u64 || report.sealed_failed != 0 {
-        fail(&format!(
-            "seal cross-check: ok {} + failed {} != {total}",
-            report.sealed_ok, report.sealed_failed
-        ));
-    }
-
+    let mut latencies_ns: Vec<u64> = run.jobs.iter().map(|j| j.e2e.as_nanos() as u64).collect();
     latencies_ns.sort_unstable();
     let pct = |q: f64| latencies_ns[((latencies_ns.len() - 1) as f64 * q).round() as usize];
-    let jobs_per_sec = total as f64 / wall.as_secs_f64();
+    let jobs_per_sec = run.jobs_per_sec();
 
-    let mut envelope = Envelope::new("serve")
-        .with_config("tenants", cfg.tenants)
-        .with_config("jobs_per_tenant", cfg.jobs_per_tenant)
-        .with_config("workers", cfg.workers)
-        .with_config("interval_ms", cfg.interval.as_millis())
-        .with_config("taxa", cfg.taxa)
-        .with_config("sites", cfg.sites);
+    let mut envelope = cfg.envelope("serve");
     // `_per_sec` / `_p99` suffixes enroll these in the gate's classes.
     envelope.push_metric("serve_jobs_per_sec", jobs_per_sec);
     envelope.push_metric("serve_e2e_ns_p50", pct(0.50) as f64);
@@ -193,57 +94,13 @@ fn main() {
             );
             println!(
                 "farm cross-check: {} dispatched == {} sealed ok, 0 failed",
-                report.dispatched, report.sealed_ok
+                run.report.dispatched, run.report.sealed_ok
             );
             if args.smoke {
                 println!("serve_study smoke: OK");
             }
         }
     }
-}
-
-/// One tenant: open-loop submission on a fixed schedule, then observe every
-/// job to completion in submission order.
-fn run_tenant(addr: SocketAddr, tenant_idx: usize, cfg: &LoadConfig) -> Result<TenantRun, String> {
-    let tenant = format!("tenant-{tenant_idx}");
-    let mut client = Client::connect(addr).map_err(|e| format!("{tenant}: connect: {e}"))?;
-    client.ping().map_err(|e| format!("{tenant}: ping: {e}"))?;
-
-    // Stagger tenants so arrivals interleave instead of bursting together.
-    let start = Instant::now() + cfg.interval * tenant_idx as u32 / cfg.tenants as u32;
-    let mut submitted: Vec<(u64, Instant)> = Vec::with_capacity(cfg.jobs_per_tenant);
-    for j in 0..cfg.jobs_per_tenant {
-        let due = start + cfg.interval * j as u32;
-        if let Some(pause) = due.checked_duration_since(Instant::now()) {
-            std::thread::sleep(pause);
-        }
-        // Distinct seeds per (tenant, job) keep the searches independent.
-        let mut spec = JobSpec::new(
-            "study",
-            JobKind::Search,
-            (tenant_idx * 1000 + j) as u64 + 1,
-            Preset::Fast,
-        );
-        spec.max_spr_rounds = Some(1);
-        let t0 = Instant::now();
-        let id = client
-            .submit(&tenant, &spec)
-            .map_err(|e| format!("{tenant}: submit: {e}"))?
-            .map_err(|r| format!("{tenant}: rejected: {r:?}"))?;
-        submitted.push((id, t0));
-    }
-
-    let mut jobs = Vec::with_capacity(submitted.len());
-    for (id, t0) in submitted {
-        let status = client
-            .wait_done(id, Duration::from_secs(600))
-            .map_err(|e| format!("{tenant}: waiting on job {id}: {e}"))?;
-        if status.state != WireState::Done {
-            return Err(format!("{tenant}: job {id} ended {:?}: {:?}", status.state, status.error));
-        }
-        jobs.push((id, t0.elapsed()));
-    }
-    Ok(TenantRun { tenant, jobs })
 }
 
 fn fail(message: &str) -> ! {

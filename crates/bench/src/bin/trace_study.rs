@@ -34,56 +34,18 @@
 //!   --no-artifact    skip writing BENCH_trace.json
 //! ```
 
-use bench::artifact::{bench_artifact_path, Envelope, OutputFormat};
+use bench::artifact::{bench_artifact_path, OutputFormat};
 use bench::cli::StudyArgs;
 use bench::or_exit;
+use bench::serve_load::{run_load, JobObs, LoadConfig, LoadRun};
 use obs::trace::span_id;
-use serve::client::{http_get, http_get_status, Client};
-use serve::server::Server;
-use serve::service::{InferenceService, ServiceConfig};
-use serve::wire::{JobKind, JobSpec, Preset, WireState};
+use serve::client::{http_get, http_get_status};
 use std::net::SocketAddr;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-struct LoadConfig {
-    tenants: usize,
-    jobs_per_tenant: usize,
-    workers: usize,
-    interval: Duration,
-    taxa: usize,
-    sites: usize,
-}
-
-/// One completed job as the client observed it.
-struct JobObs {
-    tenant_idx: usize,
-    slot: usize,
-    job: u64,
-    trace: u64,
-    lnl_bits: u64,
-}
-
-struct PhaseResult {
-    jobs_per_sec: f64,
-    jobs: Vec<JobObs>,
-}
 
 fn main() {
     let args = StudyArgs::parse();
-    let cfg = LoadConfig {
-        tenants: or_exit(args.usize_value("--tenants")).unwrap_or(3).max(1),
-        jobs_per_tenant: or_exit(args.usize_value("--jobs"))
-            .unwrap_or(if args.smoke { 3 } else { 8 })
-            .max(1),
-        workers: or_exit(args.usize_value("--workers")).unwrap_or(4).max(1),
-        interval: Duration::from_millis(
-            or_exit(args.u64_value("--interval-ms")).unwrap_or(if args.smoke { 5 } else { 30 }),
-        ),
-        taxa: if args.smoke || args.quick { 6 } else { 8 },
-        sites: if args.smoke || args.quick { 120 } else { 300 },
-    };
-    let total = cfg.tenants * cfg.jobs_per_tenant;
+    let cfg = or_exit(LoadConfig::from_args(&args));
+    let total = cfg.total();
     if args.format.is_text() {
         eprintln!(
             "trace_study: {} tenants x {} jobs on {} workers, tracing off then on",
@@ -100,16 +62,14 @@ fn main() {
     let (mut off, mut on) = (None, None);
     let (mut off_best, mut on_best) = (f64::MIN, f64::MIN);
     for _ in 0..reps {
-        let r = or_exit(run_phase(&cfg, false));
-        off_best = off_best.max(r.jobs_per_sec);
+        let r = run_phase(&cfg, false);
+        off_best = off_best.max(r.jobs_per_sec());
         off = Some(r);
-        let r = or_exit(run_phase(&cfg, true));
-        on_best = on_best.max(r.jobs_per_sec);
+        let r = run_phase(&cfg, true);
+        on_best = on_best.max(r.jobs_per_sec());
         on = Some(r);
     }
-    let (mut off, mut on) = (off.expect("ran"), on.expect("ran"));
-    off.jobs_per_sec = off_best;
-    on.jobs_per_sec = on_best;
+    let (off, on) = (off.expect("ran"), on.expect("ran"));
 
     // Tracing must not perturb results: identical (tenant, slot) jobs must
     // produce bit-identical likelihoods with and without the span layer.
@@ -125,27 +85,20 @@ fn main() {
     // The headline claim: tracing-on throughput within tolerance of
     // tracing-off. Smoke runs are tiny and noisy, so they get a loose
     // bound; full runs enforce the 3% acceptance criterion.
-    let overhead_pct = 100.0 * (off.jobs_per_sec - on.jobs_per_sec) / off.jobs_per_sec;
+    let overhead_pct = 100.0 * (off_best - on_best) / off_best;
     let tolerance_pct = if args.smoke { 15.0 } else { 3.0 };
     if overhead_pct > tolerance_pct {
         fail(&format!(
             "tracing overhead {overhead_pct:.2}% exceeds {tolerance_pct}% \
-             ({:.2} -> {:.2} jobs/sec)",
-            off.jobs_per_sec, on.jobs_per_sec
+             ({off_best:.2} -> {on_best:.2} jobs/sec)"
         ));
     }
 
-    let spans_total = audit_traced_phase(&on, total);
+    let spans_total = audit_traced_phase(&on.jobs, total);
 
-    let mut envelope = Envelope::new("trace")
-        .with_config("tenants", cfg.tenants)
-        .with_config("jobs_per_tenant", cfg.jobs_per_tenant)
-        .with_config("workers", cfg.workers)
-        .with_config("interval_ms", cfg.interval.as_millis())
-        .with_config("taxa", cfg.taxa)
-        .with_config("sites", cfg.sites);
-    envelope.push_metric("trace_jobs_per_sec", on.jobs_per_sec);
-    envelope.push_metric("trace_jobs_per_sec_untraced", off.jobs_per_sec);
+    let mut envelope = cfg.envelope("trace");
+    envelope.push_metric("trace_jobs_per_sec", on_best);
+    envelope.push_metric("trace_jobs_per_sec_untraced", off_best);
     envelope.push_metric("trace_overhead_pct", overhead_pct);
     envelope.push_metric("trace_spans_total", spans_total as f64);
     envelope.push_metric("trace_spans_per_job", spans_total as f64 / total as f64);
@@ -162,9 +115,8 @@ fn main() {
         OutputFormat::Json => print!("{}", envelope.to_json()),
         OutputFormat::Text => {
             println!(
-                "{total} jobs: {:.2} jobs/sec untraced, {:.2} jobs/sec traced \
-                 ({overhead_pct:+.2}% overhead, tolerance {tolerance_pct}%)",
-                off.jobs_per_sec, on.jobs_per_sec
+                "{total} jobs: {off_best:.2} jobs/sec untraced, {on_best:.2} jobs/sec traced \
+                 ({overhead_pct:+.2}% overhead, tolerance {tolerance_pct}%)"
             );
             println!(
                 "span/histogram coherence: queue_wait + run + seal integer-equal \
@@ -177,115 +129,23 @@ fn main() {
     }
 }
 
-/// Stand up a service + server with tracing on or off, drive the open-loop
-/// multi-tenant load to completion, and tear everything down with the same
-/// exactly-once accounting cross-checks as `serve_study`.
-fn run_phase(cfg: &LoadConfig, tracing: bool) -> Result<PhaseResult, String> {
-    // Each phase owns the process-global registry and tracer: zero both so
-    // the coherence audit sees only this phase's samples.
+/// One load phase with tracing on or off, checking the live routes while
+/// the traced server is up. Each phase owns the process-global registry
+/// and tracer: both are zeroed first so the coherence audit sees only this
+/// phase's samples.
+fn run_phase(cfg: &LoadConfig, tracing: bool) -> LoadRun {
     obs::global().reset();
     obs::trace::global().clear();
-
-    let aln = phylo::simulate::SimulationConfig::new(cfg.taxa, cfg.sites, 7).generate().alignment;
-    let service = Arc::new(
-        InferenceService::start(ServiceConfig::new(cfg.workers).with_tracing(tracing))
-            .map_err(|e| format!("starting service: {e}"))?,
-    );
-    service.register_dataset("study", aln);
-    let server =
-        Server::bind("127.0.0.1:0", service.clone()).map_err(|e| format!("binding: {e}"))?;
-    let addr = server.addr();
-
-    let wall_start = Instant::now();
-    let runs: Vec<Vec<JobObs>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..cfg.tenants)
-            .map(|t| scope.spawn(move || or_exit(run_tenant(addr, t, cfg))))
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("tenant thread")).collect()
-    });
-    let wall = wall_start.elapsed();
-
-    if tracing {
-        live_route_checks(addr, &runs)?;
-    }
-
-    drop(server);
-    let report = service.shutdown().expect("first shutdown");
-    let total = cfg.tenants * cfg.jobs_per_tenant;
-    let s = report.stats;
-    if s.accepted != total as u64 || s.completed != total as u64 || s.failed != 0 {
-        return Err(format!("service accounting: {s:?}, expected {total} accepted+completed"));
-    }
-    if report.sealed_ok != total as u64 || report.sealed_failed != 0 {
-        return Err(format!(
-            "seal accounting: ok {} failed {} != {total}",
-            report.sealed_ok, report.sealed_failed
-        ));
-    }
-
-    let jobs: Vec<JobObs> = runs.into_iter().flatten().collect();
-    if jobs.len() != total {
-        return Err(format!("observed {} jobs, submitted {total}", jobs.len()));
-    }
-    Ok(PhaseResult { jobs_per_sec: total as f64 / wall.as_secs_f64(), jobs })
-}
-
-/// One tenant: open-loop submission on a fixed schedule, then observe every
-/// job to completion in submission order.
-fn run_tenant(
-    addr: SocketAddr,
-    tenant_idx: usize,
-    cfg: &LoadConfig,
-) -> Result<Vec<JobObs>, String> {
-    let tenant = format!("tenant-{tenant_idx}");
-    let mut client = Client::connect(addr).map_err(|e| format!("{tenant}: connect: {e}"))?;
-
-    let start = Instant::now() + cfg.interval * tenant_idx as u32 / cfg.tenants as u32;
-    let mut submitted: Vec<(usize, u64, u64)> = Vec::with_capacity(cfg.jobs_per_tenant);
-    for slot in 0..cfg.jobs_per_tenant {
-        let due = start + cfg.interval * slot as u32;
-        if let Some(pause) = due.checked_duration_since(Instant::now()) {
-            std::thread::sleep(pause);
-        }
-        let mut spec = JobSpec::new(
-            "study",
-            JobKind::Search,
-            (tenant_idx * 1000 + slot) as u64 + 1,
-            Preset::Fast,
-        );
-        spec.max_spr_rounds = Some(1);
-        let (job, trace) = client
-            .submit_traced(&tenant, &spec, None, 0)
-            .map_err(|e| format!("{tenant}: submit: {e}"))?
-            .map_err(|r| format!("{tenant}: rejected: {r:?}"))?;
-        submitted.push((slot, job, trace));
-    }
-
-    let mut jobs = Vec::with_capacity(submitted.len());
-    for (slot, job, trace) in submitted {
-        let status = client
-            .wait_done(job, Duration::from_secs(600))
-            .map_err(|e| format!("{tenant}: waiting on job {job}: {e}"))?;
-        if status.state != WireState::Done {
-            return Err(format!(
-                "{tenant}: job {job} ended {:?}: {:?}",
-                status.state, status.error
-            ));
-        }
-        let result = status.result.ok_or_else(|| format!("{tenant}: job {job} done, no result"))?;
-        jobs.push(JobObs {
-            tenant_idx,
-            slot,
-            job,
-            trace,
-            lnl_bits: result.log_likelihood.to_bits(),
-        });
-    }
-    Ok(jobs)
+    run_load(
+        cfg,
+        tracing,
+        |addr, jobs| if tracing { live_route_checks(addr, jobs) } else { Ok(()) },
+    )
+    .unwrap_or_else(|e| fail(&e))
 }
 
 /// HTTP introspection checks against the live traced server.
-fn live_route_checks(addr: SocketAddr, runs: &[Vec<JobObs>]) -> Result<(), String> {
+fn live_route_checks(addr: SocketAddr, jobs: &[JobObs]) -> Result<(), String> {
     let health = http_get(addr, "/healthz").map_err(|e| format!("/healthz: {e}"))?;
     if health.trim() != "ok" {
         return Err(format!("/healthz said {health:?}"));
@@ -298,7 +158,7 @@ fn live_route_checks(addr: SocketAddr, runs: &[Vec<JobObs>]) -> Result<(), Strin
     if !overview.contains("\"ok\":true") || !overview.contains("\"tenants\":[") {
         return Err(format!("/jobs overview malformed: {overview}"));
     }
-    let probe = runs.iter().flatten().next().expect("at least one job");
+    let probe = jobs.first().expect("at least one job");
     let doc = http_get(addr, &format!("/trace/{}", probe.job))
         .map_err(|e| format!("/trace/{}: {e}", probe.job))?;
     if !doc.starts_with("{\"traceEvents\":[") || !doc.contains("\"name\":\"job\"") {
@@ -314,9 +174,9 @@ fn live_route_checks(addr: SocketAddr, runs: &[Vec<JobObs>]) -> Result<(), Strin
 /// Audit the traced phase after shutdown: span-tree shape, integer-exact
 /// span/histogram coherence, and exemplar linkage. Returns the total span
 /// count across all job traces.
-fn audit_traced_phase(on: &PhaseResult, total: usize) -> usize {
+fn audit_traced_phase(jobs: &[JobObs], total: usize) -> usize {
     let tracer = obs::trace::global();
-    let trace_set: std::collections::HashSet<u64> = on.jobs.iter().map(|j| j.trace).collect();
+    let trace_set: std::collections::HashSet<u64> = jobs.iter().map(|j| j.trace).collect();
     if trace_set.len() != total {
         fail(&format!("{} distinct trace ids for {total} jobs", trace_set.len()));
     }
@@ -324,7 +184,7 @@ fn audit_traced_phase(on: &PhaseResult, total: usize) -> usize {
     let mut span_sums: [(u64, u64); 3] = [(0, 0); 3]; // (sum_ns, count) per kind
     let kinds = ["queue_wait", "run", "seal"];
     let mut spans_total = 0usize;
-    for j in &on.jobs {
+    for j in jobs {
         let spans = tracer.spans(j.trace);
         spans_total += spans.len();
         let root = span_id(j.trace, "job", 0);

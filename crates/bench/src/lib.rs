@@ -1,5 +1,5 @@
-//! Shared fixtures and report printers for the benchmark suite and the
-//! table/figure regeneration binaries.
+//! Shared fixtures and report printers for the benchmark suite, the
+//! `paper` table/figure binary and the study binaries.
 //!
 //! Every helper that runs an experiment driver propagates its
 //! [`ExperimentError`]; the binaries funnel through [`or_exit`] so a bad
@@ -9,6 +9,7 @@ pub mod artifact;
 pub mod cli;
 pub mod gate;
 pub mod metrics_run;
+pub mod serve_load;
 
 use cellsim::cost::CostModel;
 use raxml_cell::error::ExperimentError;
@@ -30,16 +31,17 @@ pub fn or_exit<T, E: std::fmt::Display>(result: Result<T, E>) -> T {
     }
 }
 
-/// Capture the `42_SC`-equivalent workload (a full traced inference on the
-/// 42 × 1167 synthetic alignment). This is the expensive step — call once
-/// and reuse.
-pub fn aln42_workload() -> Result<Workload, ExperimentError> {
-    capture_workload(&WorkloadSpec::aln42())
-}
-
-/// Capture a reduced workload for quick runs.
-pub fn quick_workload() -> Result<Workload, ExperimentError> {
-    capture_workload(&WorkloadSpec::test_mid())
+/// Capture the workload every paper table is priced from, with its label:
+/// the `42_SC`-equivalent (a full traced inference on the 42 × 1167
+/// synthetic alignment, about a minute — call once and reuse) or, when
+/// `quick`, the reduced `test_mid` capture.
+pub fn capture(quick: bool) -> Result<(Workload, &'static str), ExperimentError> {
+    if quick {
+        Ok((capture_workload(&WorkloadSpec::test_mid())?, "test_mid (quick)"))
+    } else {
+        eprintln!("capturing the 42_SC-equivalent workload (a real traced inference)…");
+        Ok((capture_workload(&WorkloadSpec::aln42())?, "42_SC-equivalent (ALN42)"))
+    }
 }
 
 /// Regenerate and print every table and the figure. Returns the full text.
@@ -396,25 +398,13 @@ pub fn fault_study_text(workload: &Workload, n_jobs: usize) -> String {
     out
 }
 
-/// Standard binary entry point: captures the workload (reduced when
-/// `--quick` is passed) and returns it together with its label.
-pub fn workload_from_args() -> Result<(Workload, &'static str), ExperimentError> {
-    let quick = std::env::args().any(|a| a == "--quick");
-    if quick {
-        Ok((quick_workload()?, "test_mid (quick)"))
-    } else {
-        eprintln!("capturing the 42_SC-equivalent workload (a real traced inference)…");
-        Ok((aln42_workload()?, "42_SC-equivalent (ALN42)"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn quick_tables_render() {
-        let w = quick_workload().expect("capture");
+        let (w, _) = capture(true).expect("capture");
         let text = run_all_tables(&w).expect("tables");
         assert!(text.contains("Table 1a"));
         assert!(text.contains("Table 8"));
@@ -424,7 +414,7 @@ mod tests {
 
     #[test]
     fn profiled_round_trace_matches_stats_for_every_scheduler() {
-        let w = quick_workload().expect("capture");
+        let (w, _) = capture(true).expect("capture");
         let profiles = profile_spr_round(&w, 8);
         assert_eq!(profiles.len(), 3, "one profile per scheduler");
         for p in &profiles {
@@ -436,7 +426,7 @@ mod tests {
 
     #[test]
     fn mgps_utilization_composition_comes_from_the_trace() {
-        let w = quick_workload().expect("capture");
+        let (w, _) = capture(true).expect("capture");
         let text = mgps_utilization_text(&w, 8);
         assert!(text.contains("SPE work composition"));
         assert!(text.contains("loops"));

@@ -8,14 +8,14 @@
 //! at chosen cycle points.
 //!
 //! Everything is **counter-based and seed-driven**: a fault decision is a
-//! pure function of `(seed, stream, index, attempt, site)`, hashed through
-//! [`obs::trace::splitmix64`]. No RNG state is carried between draws, so
+//! pure function of `(seed, stream, index, attempt, site)`, drawn through
+//! [`obs::trace::draw`]. No RNG state is carried between draws, so
 //! any component can ask "does this offload fault?" in any order and two
 //! simulations with the same plan replay the exact same fault history — the
 //! property the determinism tests in `tests/robustness.rs` lock down.
 
 use crate::time::Cycles;
-use obs::trace::splitmix64;
+use obs::trace::draw;
 
 /// The kinds of fault the plan can inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -179,15 +179,7 @@ impl FaultPlan {
     /// the drawing component (e.g. a worker id), `index` the operation
     /// within the stream, `attempt` the retry, and `salt` the category.
     fn draw(&self, stream: u64, index: u64, attempt: u32, salt: u64) -> f64 {
-        let mut x = self.seed ^ salt;
-        x = splitmix64(x);
-        x ^= stream.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        x = splitmix64(x);
-        x ^= index.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x ^= (attempt as u64).wrapping_mul(0x94d0_49bb_1331_11eb);
-        let bits = splitmix64(x);
-        // 53 high bits → uniform double in [0, 1).
-        (bits >> 11) as f64 / (1u64 << 53) as f64
+        draw(self.seed, stream, index, attempt.into(), salt)
     }
 
     /// Does this DMA transfer attempt fault, and how?

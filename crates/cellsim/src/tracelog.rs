@@ -26,6 +26,7 @@
 //! growth.
 
 use crate::time::Cycles;
+use obs::json::finite;
 
 /// What happened at one point (or over one span) of simulated time.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -375,7 +376,7 @@ impl TraceLog {
                 EventData::Counter { name, value } => {
                     out.push_str(&format!(
                         "{{\"ph\":\"C\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"name\":\"{name}\",\"args\":{{\"value\":{}}}}}",
-                        json_f64(value)
+                        finite(value)
                     ));
                 }
             }
@@ -396,8 +397,8 @@ impl TraceLog {
                 s.spe_busy[i],
                 s.spe_stalled[i],
                 s.spe_bursts[i],
-                json_f64(s.utilization(i)),
-                json_f64(s.stall_fraction(i)),
+                finite(s.utilization(i)),
+                finite(s.stall_fraction(i)),
             ));
         }
         out.push_str(&format!("{{\"metric\":\"ppe\",\"busy_cycles\":{}}}\n", s.ppe_busy));
@@ -406,18 +407,18 @@ impl TraceLog {
                 out.push_str(&format!(
                     "{{\"metric\":\"counter\",\"name\":\"{name}\",\"at_cycles\":{},\"value\":{}}}\n",
                     ev.at,
-                    json_f64(value)
+                    finite(value)
                 ));
             }
         }
         out.push_str(&format!(
             "{{\"metric\":\"totals\",\"makespan_cycles\":{},\"makespan_seconds\":{},\"events\":{},\"faults\":{},\"mean_spe_utilization\":{},\"mean_spe_stall_fraction\":{}}}\n",
             s.end,
-            json_f64(s.end as f64 / clock_hz),
+            finite(s.end as f64 / clock_hz),
             self.events.len(),
             s.faults,
-            json_f64(s.mean_utilization()),
-            json_f64(s.mean_stall_fraction()),
+            finite(s.mean_utilization()),
+            finite(s.mean_stall_fraction()),
         ));
         out
     }
@@ -448,15 +449,6 @@ fn lane_name(tid: u32) -> String {
         901 => "SPR rounds".to_string(),
         902 => "faults".to_string(),
         _ => "counters".to_string(),
-    }
-}
-
-/// Render an `f64` as a JSON number (JSON has no NaN/inf — clamp to 0).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
     }
 }
 

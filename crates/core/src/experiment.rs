@@ -688,7 +688,7 @@ mod tests {
             // deviation against the paper must be modest. (The mid-size
             // test workload has a different PPE/SPE balance than 42_SC, so
             // the band is wider than what the ALN42 run achieves — the
-            // `tables` bench reports 0.7–10% there.)
+            // `paper all_tables` run reports 0.7–10% there.)
             let dev = shape_deviation(&level.rows);
             assert!(dev < 0.25, "{}: deviation {dev}", level.label);
         }
@@ -868,7 +868,7 @@ mod tests {
         // newview/makenewz balance depends on tree size — on the small
         // 12-taxon test workload the lazy SPR's per-candidate makenewz
         // calls rival newview, while the 42-taxon ALN42 run shows the
-        // paper-like newview domination (see the `tables` bench output).
+        // paper-like newview domination (see the `paper all_tables` output).
         assert!(p.fractions[0] + p.fractions[1] > 0.9, "kernels must dominate: {:?}", p.fractions);
         assert!(p.fractions[0] > 0.3, "newview is a major component: {:?}", p.fractions);
         assert!(p.fractions[3] < 0.05, "other work is small");

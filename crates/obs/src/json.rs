@@ -4,7 +4,8 @@
 //! traces, metrics JSONL, `BENCH_*.json` envelopes) prove their output
 //! parses with [`parse`] and [`validate_jsonl`]; the regression gate, the
 //! wire protocol and the service logs read values back with the same
-//! recursive-descent grammar.
+//! recursive-descent grammar. The writing side shares two primitives:
+//! [`escape`] for string literals and [`finite`] for numbers.
 
 /// A parsed JSON value. Object keys keep insertion order.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,6 +46,35 @@ impl Json {
             Json::Obj(fields) => Some(fields),
             _ => None,
         }
+    }
+}
+
+/// Escape `s` for the inside of a JSON string literal (no surrounding
+/// quotes).
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// Render an `f64` as a JSON (and Prometheus) number. JSON has no NaN or
+/// infinity, so non-finite values render as `0`; integral values render
+/// without a dot (`3`), which is still legal JSON.
+pub fn finite(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "0".to_string()
     }
 }
 
@@ -290,6 +320,19 @@ mod tests {
     fn string_escapes_round_trip() {
         let v = parse(r#""a\n\t\"\\é b""#).unwrap();
         assert_eq!(v.as_str(), Some("a\n\t\"\\\u{e9} b"));
+    }
+
+    #[test]
+    fn escaped_strings_parse_back_and_numbers_stay_finite() {
+        let raw = "q\"b\\n\nr\rt\tc\u{1}é";
+        let text = format!("\"{}\"", escape(raw));
+        assert_eq!(text, "\"q\\\"b\\\\n\\nr\\rt\\tc\\u0001é\"");
+        assert_eq!(parse(&text).unwrap().as_str(), Some(raw));
+        assert_eq!(finite(3.0), "3");
+        assert_eq!(finite(-0.25), "-0.25");
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(finite(v), "0");
+        }
     }
 
     #[test]

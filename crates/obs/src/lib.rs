@@ -361,7 +361,7 @@ impl Registry {
                 }
                 MetricSnapshot::Gauge(v) => {
                     out.push_str(&format!("# HELP {name} {}\n", self.help_for(&name, "gauge")));
-                    out.push_str(&format!("# TYPE {name} gauge\n{name} {}\n", finite(v)));
+                    out.push_str(&format!("# TYPE {name} gauge\n{name} {}\n", json::finite(v)));
                 }
                 MetricSnapshot::Histogram(h) => {
                     out.push_str(&format!("# HELP {name} {}\n", self.help_for(&name, "histogram")));
@@ -400,7 +400,7 @@ impl Registry {
                 MetricSnapshot::Gauge(v) => {
                     out.push_str(&format!(
                         "{{\"metric\":\"gauge\",\"name\":\"{name}\",\"value\":{}}}\n",
-                        finite(*v)
+                        json::finite(*v)
                     ));
                 }
                 MetricSnapshot::Histogram(h) => {
@@ -410,7 +410,7 @@ impl Registry {
                         h.count,
                         h.sum,
                         h.max,
-                        finite(h.mean()),
+                        json::finite(h.mean()),
                         h.quantile(0.5),
                         h.quantile(0.9),
                         h.quantile(0.99),
@@ -429,15 +429,6 @@ pub enum MetricSnapshot {
     Counter(u64),
     Gauge(f64),
     Histogram(HistogramSnapshot),
-}
-
-/// Render an `f64` as a JSON/Prometheus-safe number (NaN/inf → 0).
-fn finite(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
 }
 
 /// The process-wide registry the instrumented tiers record into. Starts

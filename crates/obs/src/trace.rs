@@ -38,14 +38,29 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// SplitMix64: the workspace's one stateless mixer — trace and span IDs
-/// here, counter-mode fault decisions in `cellsim::fault` and
-/// `serve::fault`.
+/// here, counter-mode fault decisions through [`draw`].
 #[inline]
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
+}
+
+/// Counter-mode uniform draw in `[0, 1)`: a pure function of the plan
+/// `seed`, the drawing `stream` (a worker or connection), the operation
+/// `index` within it, the retry `attempt`, and the decision-site `salt`.
+/// No state is carried between draws, so the fault planners in
+/// `cellsim::fault` and `serve::fault` replay identical histories in any
+/// query order. `attempt = 0` contributes nothing to the mix.
+pub fn draw(seed: u64, stream: u64, index: u64, attempt: u64, salt: u64) -> f64 {
+    let mut x = splitmix64(seed ^ salt);
+    x ^= stream.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    x = splitmix64(x);
+    x ^= index.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x ^= attempt.wrapping_mul(0x94d0_49bb_1331_11eb);
+    // 53 high bits → uniform double in [0, 1).
+    (splitmix64(x) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// FNV-1a over a byte string (same constants as the registry's shard hash).

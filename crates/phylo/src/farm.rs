@@ -291,9 +291,8 @@ impl<R> FarmOutcome<R> {
     }
 }
 
-/// Render a panic payload as text (shared with
-/// [`crate::parallel::run_master_worker`]'s propagation path).
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// Render a panic payload as text.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -872,9 +871,11 @@ where
     FarmOutcome { results, stats }
 }
 
-/// The common case: a materialized job list, stateless workers, no hooks.
-/// The farm analogue of [`crate::parallel::run_master_worker`], returning
-/// typed per-job failures instead of propagating panics.
+/// The common case: a materialized job list, stateless workers, no hooks —
+/// the thread analogue of the paper's MPI master–worker scheme for
+/// bootstraps and multiple inferences (§3.1). Results come back in job
+/// order, with a panicking job as a typed [`FarmError::JobPanicked`]
+/// instead of an unwind.
 pub fn run_batch<J, R, F>(jobs: Vec<J>, n_workers: usize, work: F) -> FarmOutcome<R>
 where
     J: Send,

@@ -142,22 +142,7 @@ impl Client {
     /// (`Done`/`Failed`/`Cancelled`), with capped exponential backoff.
     /// Times out with `ErrorKind::TimedOut`.
     pub fn wait_done(&mut self, job: u64, timeout: Duration) -> std::io::Result<JobStatusWire> {
-        let deadline = Instant::now() + timeout;
-        let mut pause = Duration::from_millis(1);
-        loop {
-            let status = self.status(job)?;
-            if status.state.is_terminal() {
-                return Ok(status);
-            }
-            if Instant::now() >= deadline {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    format!("job {job} still {:?} after {timeout:?}", status.state),
-                ));
-            }
-            std::thread::sleep(pause);
-            pause = (pause * 2).min(Duration::from_millis(50));
-        }
+        poll_until_terminal(job, timeout, || self.status(job))
     }
 }
 
@@ -356,22 +341,33 @@ impl RetryClient {
     /// Poll (with reconnects) until the job is terminal; each poll gets the
     /// full retry budget, and the overall wait respects `timeout`.
     pub fn wait_done(&mut self, job: u64, timeout: Duration) -> std::io::Result<JobStatusWire> {
-        let deadline = Instant::now() + timeout;
-        let mut pause = Duration::from_millis(1);
-        loop {
-            let status = self.status(job)?;
-            if status.state.is_terminal() {
-                return Ok(status);
-            }
-            if Instant::now() >= deadline {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    format!("job {job} still {:?} after {timeout:?}", status.state),
-                ));
-            }
-            std::thread::sleep(pause);
-            pause = (pause * 2).min(Duration::from_millis(50));
+        poll_until_terminal(job, timeout, || self.status(job))
+    }
+}
+
+/// The status-poll loop behind both `wait_done`s: poll until the job is
+/// terminal, sleeping 1 ms after the first non-terminal answer and doubling
+/// up to 50 ms; `ErrorKind::TimedOut` once `timeout` has passed.
+fn poll_until_terminal(
+    job: u64,
+    timeout: Duration,
+    mut status: impl FnMut() -> std::io::Result<JobStatusWire>,
+) -> std::io::Result<JobStatusWire> {
+    let deadline = Instant::now() + timeout;
+    let mut pause = Duration::from_millis(1);
+    loop {
+        let status = status()?;
+        if status.state.is_terminal() {
+            return Ok(status);
         }
+        if Instant::now() >= deadline {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::TimedOut,
+                format!("job {job} still {:?} after {timeout:?}", status.state),
+            ));
+        }
+        std::thread::sleep(pause);
+        pause = (pause * 2).min(Duration::from_millis(50));
     }
 }
 

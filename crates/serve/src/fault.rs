@@ -2,7 +2,7 @@
 //!
 //! The simulator already has a gold-standard chaos model in
 //! [`cellsim::fault`]: every fault decision is a **pure function** of
-//! `(seed, stream, index, salt)` hashed through splitmix64, so no RNG state
+//! `(seed, stream, index, salt)` drawn through [`obs::trace::draw`], so no RNG state
 //! is carried between draws and two runs under the same plan replay the
 //! exact same fault history. This module applies the identical discipline
 //! to the TCP front door: a [`ServeFaultPlan`] decides, per connection and
@@ -21,7 +21,7 @@
 //! code under test cannot tell chaos from a hostile network — which is the
 //! property the exactly-once retry machinery must survive.
 
-use obs::trace::splitmix64;
+use obs::trace::{draw, splitmix64};
 use std::io::{ErrorKind, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -130,16 +130,11 @@ impl ServeFaultPlan {
             && self.stall_rate == 0.0
     }
 
-    /// A uniform draw in `[0, 1)` for the given site — identical mixing to
-    /// `cellsim::fault`, so the replay guarantees carry over verbatim.
+    /// A uniform draw in `[0, 1)` for the given site: the simulator's
+    /// counter-mode draw with no retry attempt, so the replay guarantees
+    /// carry over verbatim.
     fn draw(&self, stream: u64, op: u64, salt: u64) -> f64 {
-        let mut x = self.seed ^ salt;
-        x = splitmix64(x);
-        x ^= stream.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        x = splitmix64(x);
-        x ^= op.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        let bits = splitmix64(x);
-        (bits >> 11) as f64 / (1u64 << 53) as f64
+        draw(self.seed, stream, op, 0, salt)
     }
 
     /// Fault decision for read operation `op` on `stream`, if any.

@@ -5,23 +5,26 @@
 //! ## Threading model
 //!
 //! [`InferenceService::start`] spawns a scheduler thread that calls
-//! [`phylo::farm::run_farm`] once with a *blocking* job iterator
-//! ([`JobFeed`]): `next()` parks on a condvar until a queued job exists (or
-//! shutdown drains the queues), so the farm's worker pool — and every
-//! per-worker [`LikelihoodWorkspace`] arena — persists across jobs instead
-//! of being rebuilt per batch. Submissions are cheap queue pushes from any
-//! thread.
+//! [`phylo::farm::run_farm_polling`] once with a polling feed
+//! (`poll_feed`). Each poll hands the farm the next queued job; with none
+//! queued it parks on a condvar for at most `FEED_IDLE_POLL` (25 ms) and
+//! answers [`FeedPoll::Idle`], so the farm drains worker mail and polls
+//! again; once shutdown has drained the queues it answers
+//! [`FeedPoll::Closed`]. The farm's worker pool — and every per-worker
+//! [`LikelihoodWorkspace`] arena — persists across jobs instead of being
+//! rebuilt per batch. Submissions are cheap queue pushes from any thread.
 //!
-//! One farm subtlety shapes the design: the farm delivers seal callbacks on
-//! the *feeding* thread, which in a persistent service is usually parked
-//! inside `JobFeed::next()`. Seals therefore lag. The authoritative
-//! completion path is the **work closure** (worker thread): it writes
-//! `Done`/`Failed` into the job table and notifies waiters the moment the
-//! inference finishes. `on_sealed` only settles jobs the closure never got
-//! to run (farm write-offs) and feeds the exactly-once cross-check counters
-//! reported by [`ShutdownReport`]; both paths converge on one idempotent
-//! `finish` routine, so a job is accounted exactly once no matter which
-//! fires first.
+//! The farm delivers seal callbacks on the feeding thread, between polls.
+//! A completion wakes the feed's condvar, so a finished job is sealed
+//! within one poll, and the idle bound caps the seal delay even if no
+//! wake-up arrives. The authoritative completion path is still the **work
+//! closure** (worker thread): it writes `Done`/`Failed` into the job table
+//! and notifies waiters the moment the inference finishes, before the
+//! seal. `on_sealed` only settles jobs the closure never got to run (farm
+//! write-offs) and feeds the exactly-once cross-check counters reported by
+//! [`ShutdownReport`]; both paths converge on one idempotent `finish`
+//! routine, so a job is accounted exactly once no matter which fires
+//! first.
 //!
 //! ## Fairness
 //!
@@ -845,7 +848,7 @@ impl InferenceService {
             let in_flight = st.in_flight.get(tenant).copied().unwrap_or(0);
             out.push_str(&format!(
                 "{{\"tenant\":\"{}\",\"queued\":{queued},\"in_flight\":{in_flight}}}",
-                wire::json_escape(tenant)
+                json::escape(tenant)
             ));
         }
         out.push_str("],\"active\":[");
@@ -871,7 +874,7 @@ impl InferenceService {
             out.push_str(&format!(
                 "{{\"job\":{id},\"tenant\":\"{}\",\"state\":\"{state}\",\"span\":\"{span}\",\
                  \"trace\":\"{trace}\"}}",
-                wire::json_escape(tenant)
+                json::escape(tenant)
             ));
         }
         out.push_str("]}");

@@ -68,25 +68,6 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<String>> {
 // JSON writing helpers
 // ---------------------------------------------------------------------------
 
-/// Escape a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Incremental JSON object writer (no intermediate tree).
 pub struct JsonObj {
     buf: String,
@@ -104,14 +85,14 @@ impl JsonObj {
         }
         self.first = false;
         self.buf.push('"');
-        self.buf.push_str(&json_escape(k));
+        self.buf.push_str(&json::escape(k));
         self.buf.push_str("\":");
     }
 
     pub fn str(mut self, k: &str, v: &str) -> JsonObj {
         self.key(k);
         self.buf.push('"');
-        self.buf.push_str(&json_escape(v));
+        self.buf.push_str(&json::escape(v));
         self.buf.push('"');
         self
     }

@@ -1,6 +1,6 @@
 //! The acceptance suite: every headline claim of the paper, asserted
 //! end-to-end against a freshly captured (mid-size) workload. The full-size
-//! ALN42 numbers live in EXPERIMENTS.md and the `tables` bench; this suite
+//! ALN42 numbers live in EXPERIMENTS.md and the `paper` binary; this suite
 //! guards the *shape* in CI time.
 
 use cellsim::cost::CostModel;
